@@ -74,13 +74,6 @@ class AdjointMatrix:
         a, b = ab
         return self.entries[a][b]
 
-    def matmul(self, other: "AdjointMatrix") -> tuple:
-        d = self.dim
-        return tuple(
-            tuple(sum(self.entries[a][m] * other.entries[m][b] for m in range(d)) for b in range(d))
-            for a in range(d)
-        )
-
 
 class PoissonTensor:
     """Antisymmetric bivector with polynomial components pi^{ij}."""
@@ -240,34 +233,33 @@ def poisson_tensor(g: LieAlgebra) -> PoissonTensor:
     return tensor
 
 
-def _trace_word(g: LieAlgebra, word: tuple) -> Fraction:
-    d = g.dim
-    mats = [adjoint_basis(g, i).entries for i in word]
-    prod = mats[0]
-    for m in mats[1:]:
-        prod = tuple(
-            tuple(sum(prod[a][t] * m[t][b] for t in range(d)) for b in range(d))
-            for a in range(d)
-        )
-    return sum((prod[a][a] for a in range(d)), Fraction(0))
-
-
 def trace_operator(g: LieAlgebra, r: int) -> DiffOperator:
-    """Constant-coefficient operator with Tr(ad_{e_{i1}} ... ad_{e_{ir}}) on
-    the derivative word (i1..ir), summed over ordered words and stored on the
-    unordered multi-index."""
+    """Constant-coefficient operator D_r whose symbol is Tr(ad_xi^r).
+
+    ad_xi = sum_i xi_i ad_{e_i} is a d x d matrix of linear forms in xi, with
+    (ad_xi)^a_b = sum_i xi_i C_ib^a; its r-th power takes r - 1 matrix
+    products.  The coefficient of xi^a in the trace is the sum of
+    Tr(ad_{e_{i1}} ... ad_{e_{ir}}) over the ordered words (i1..ir) with
+    multiset a, and becomes the coefficient of the derivative d_a."""
     if r < 2:
         raise ValueError("trace operator requires r >= 2")
-    import itertools
-
     d = g.dim
-    acc: dict = {}
-    for word in itertools.product(range(d), repeat=r):
-        t = _trace_word(g, word)
-        if t:
-            key = tuple(sorted(word))
-            acc[key] = acc.get(key, Fraction(0)) + t
-    return DiffOperator(d, {k: Polynomial.constant(d, v) for k, v in acc.items() if v})
+    zero = Polynomial.zero(d)
+    ad = [
+        [Polynomial.linear([g.c[i][b][a] for i in range(d)], d) for b in range(d)]
+        for a in range(d)
+    ]
+    power = ad
+    for _ in range(r - 1):
+        power = [
+            [sum((power[a][t] * ad[t][b] for t in range(d)), zero) for b in range(d)]
+            for a in range(d)
+        ]
+    symbol = sum((power[a][a] for a in range(d)), zero)
+    return DiffOperator(d, {
+        tuple(i for i, e in enumerate(exps) for _ in range(e)): Polynomial.constant(d, v)
+        for exps, v in symbol.terms.items()
+    })
 
 
 def is_nilpotent_probe(g: LieAlgebra, rmax: int = 6) -> bool:
@@ -300,7 +292,8 @@ def catalog_names() -> list:
 
 # -- JSON interchange --------------------------------------------------------
 # {"dim": d, "name": str, "brackets": [[i, j, k, "p/q"], ...]} with i < j,
-# 1-based indices, antisymmetric completion implied.
+# 1-based indices, antisymmetric completion implied.  Brackets may also be
+# given as {"i,j": {"k": "p/q"}}; algebra_to_json writes the list form.
 
 
 def algebra_to_json(g: LieAlgebra) -> dict:
@@ -315,9 +308,15 @@ def algebra_to_json(g: LieAlgebra) -> dict:
 
 
 def algebra_from_json(data: dict) -> LieAlgebra:
-    dim = data["dim"]
-    brackets = [(int(i), int(j), int(k), as_fraction(v)) for i, j, k, v in data.get("brackets", [])]
-    return algebra_from_brackets(dim, brackets, name=data.get("name"))
+    if "dim" not in data:
+        raise KeyError('algebra JSON has no "dim" field')
+    entries = data.get("brackets", [])
+    if isinstance(entries, dict):
+        entries = [
+            (*pair.split(","), k, v) for pair, row in entries.items() for k, v in row.items()
+        ]
+    brackets = [(int(i), int(j), int(k), as_fraction(v)) for i, j, k, v in entries]
+    return algebra_from_brackets(data["dim"], brackets, name=data.get("name"))
 
 
 def load_algebra(path: str) -> LieAlgebra:

@@ -44,7 +44,10 @@ def _resolve_algebra(spec: str) -> LieAlgebra:
         return catalog(spec)
     path = Path(spec)
     if path.exists():
-        return load_algebra(path)
+        try:
+            return load_algebra(path)
+        except KeyError as exc:  # no "dim" field
+            raise CliError(exc.args[0]) from exc
     raise CliError(f"unknown algebra {spec!r}: not a catalog name or file")
 
 
@@ -82,6 +85,8 @@ def cmd_validate(args) -> tuple:
             alg = catalog(args.catalog)
         else:
             alg = load_algebra(args.file)
+    except KeyError as exc:  # unknown catalog name, or no "dim" field
+        raise CliError(exc.args[0]) from exc
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         return (
             _report(

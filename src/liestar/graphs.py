@@ -10,6 +10,7 @@ L < R < 1 < ... < n used for canonical forms.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -161,36 +162,34 @@ def _relabel(targets: tuple, perm: tuple) -> tuple:
     return tuple(out)
 
 
-def _orbit(g: Graph):
-    """(member targets -> best swap parity reaching it) over the full group."""
-    seen: dict = {}
+def canonicalize(g: Graph) -> GraphClass:
+    """Lex-least member of the orbit of g under the n! * 2^n vertex
+    relabelings and edge swaps, with its orbit size and swap parity.
+
+    For a fixed relabeling the least member over all swap masks is the
+    relabeled graph with every target pair sorted, so only the n!
+    relabelings are walked.  Graph rejects a pair with equal targets, so each
+    relabeling reaches its sorted form through exactly one mask.  The group
+    elements reaching the representative form a coset of the stabilizer of g,
+    so the orbit size is n! * 2^n over their number.  When those elements
+    have both swap parities the class operator vanishes (w(G) * B_G = 0), and
+    the sign is set to 1, as either sign is valid."""
     n = g.n
+    best = None
+    hits = 0
+    parities = set()
     for perm in itertools.permutations(range(n)):
         base = _relabel(g.targets, perm)
-        for mask in range(1 << n):
-            parity = 1 if bin(mask).count("1") % 2 == 0 else -1
-            tgt = tuple(
-                (pair[1], pair[0]) if (mask >> k) & 1 else pair
-                for k, pair in enumerate(base)
-            )
-            prev = seen.get(tgt)
-            if prev is None:
-                seen[tgt] = parity
-            elif prev != parity:
-                seen[tgt] = 0  # odd self-symmetry: the class operator vanishes
-    return seen
-
-
-def canonicalize(g: Graph) -> GraphClass:
-    orbit = _orbit(g)
-    best = min(orbit)
-    sign = orbit[best]
-    if sign == 0:
-        sign = 1  # ambiguous parity forces w(G)*B_G = 0; either sign is valid
+        member = tuple((a, b) if a < b else (b, a) for a, b in base)
+        if best is None or member < best:
+            best, hits, parities = member, 0, set()
+        if member == best:
+            hits += 1
+            parities.add(sum(a > b for a, b in base) % 2)
     return GraphClass(
-        representative=Graph(g.n, best),
-        symmetry_count=len(orbit),
-        sign=sign,
+        representative=Graph(n, best),
+        symmetry_count=math.factorial(n) * 2**n // hits,
+        sign=-1 if parities == {1} else 1,
     )
 
 

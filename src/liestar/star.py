@@ -8,6 +8,7 @@ closed-form equivalence exponential from wheel weights and trace operators.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,7 +37,6 @@ from .weights import (
     WeightTable,
     factorized_weight,
     table_weight,
-    wheel_weight_key,
 )
 
 EXACT = "exact"
@@ -323,7 +323,7 @@ def kontsevich_gutt_rho(
         if looked is None:
             raise StarProductError(f"missing wheel weight at order {r}")
         w, _, prov = looked
-        coeff = Fraction(2**r * _factorial(r - 1)) * w
+        coeff = Fraction(2**r * math.factorial(r - 1)) * w
         if coeff == 0:
             continue
         exponent.append((r, coeff, d_r))
@@ -342,7 +342,7 @@ def kontsevich_gutt_rho(
             for p, mult in parts.items():
                 for _ in range(mult):
                     piece = piece.compose(loaded[p])
-                denom *= _factorial(mult)
+                denom *= math.factorial(mult)
             total = total + piece * Fraction(1, denom)
             if any(exp_prov.get(p) == ESTIMATED for p in parts):
                 tag = ESTIMATED
@@ -351,13 +351,6 @@ def kontsevich_gutt_rho(
     return EquivalenceOperator(
         dim, order, tuple(terms), tuple(exponent), tuple(provenance)
     )
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def random_polynomial(dim: int, degree: int, rng: random.Random) -> Polynomial:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, GraphError, canonicalize, decompose, parse_graph, wheel1_graph
+from .graphs import Graph, GraphError, canonicalize, decompose, parse_graph
 from .poly import as_fraction
 
 DEFAULT_BLOCKS = 32
@@ -420,7 +420,3 @@ def prefactor_abs_err(prefactor, comps, table, zero_comp, err):
         w, _, _ = table_weight(comp, table)
         other *= abs(float(w))
     return other
-
-
-def wheel_weight_key(r: int) -> str:
-    return canonicalize(wheel1_graph(r)).key

@@ -1,5 +1,8 @@
+import itertools
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +103,84 @@ def test_nilpotent_probe():
     assert not is_nilpotent_probe(catalog("so3"))
     assert not is_nilpotent_probe(catalog("sl2"))
     assert not is_nilpotent_probe(catalog("aff1"))
+
+
+# [e1, e_j] = M e_j on the abelian ideal span(e2, e3, e4): solvable, not
+# nilpotent, with a Jordan block and a fractional entry
+SOLVABLE4 = (4, [(1, 2, 2, 1), (1, 3, 2, 1), (1, 3, 3, "1/2"), (1, 4, 4, -2)])
+# [e1, e_i] = e_{i+1} for i = 2..4: nilpotent of class 4
+FILIFORM5 = (5, [(1, 2, 3, 1), (1, 3, 4, 1), (1, 4, 5, 1)])
+
+
+def _word_sum_trace_operator(g, r):
+    """sum over ordered words (i1..ir) of Tr(ad_{e_i1} ... ad_{e_ir}),
+    collected by multiset, with each prefix product computed once."""
+    d = g.dim
+    ad = [[[g.c[i][b][a] for b in range(d)] for a in range(d)] for i in range(d)]
+    acc = {}
+
+    def walk(word, prod):
+        if len(word) == r:
+            key = tuple(sorted(word))
+            acc[key] = acc.get(key, Fraction(0)) + sum(prod[a][a] for a in range(d))
+            return
+        for i, m in enumerate(ad):
+            walk(
+                word + (i,),
+                [[sum(prod[a][s] * m[s][b] for s in range(d)) for b in range(d)] for a in range(d)],
+            )
+
+    walk((), [[Fraction(int(a == b)) for b in range(d)] for a in range(d)])
+    return {k: v for k, v in acc.items() if v}
+
+
+def _lower_central_series_nilpotent(g):
+    """g^1 = g, g^{k+1} = [g, g^k]; nilpotent iff the ranks reach 0."""
+    d = g.dim
+
+    def basis(vectors):
+        rows, out = [list(v) for v in vectors], []
+        for col in range(d):
+            pivot = next((row for row in rows if row[col]), None)
+            if pivot is None:
+                continue
+            rows.remove(pivot)
+            out.append(pivot)
+            rows = [[x - row[col] / pivot[col] * y for x, y in zip(row, pivot)] for row in rows]
+        return out
+
+    unit = [[Fraction(int(a == b)) for b in range(d)] for a in range(d)]
+    term = unit
+    while term:
+        nxt = basis(g.bracket(x, y) for x in unit for y in term)
+        if len(nxt) == len(term):
+            return False
+        term = nxt
+    return True
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["solvable4"])
+def test_trace_operator_equals_word_sum(name):
+    g = algebra_from_brackets(*SOLVABLE4) if name == "solvable4" else catalog(name)
+    for r in range(2, 6):
+        terms = trace_operator(g, r).terms
+        assert all(c.is_constant() for c in terms.values())
+        assert {k: c.constant_term() for k, c in terms.items()} == _word_sum_trace_operator(g, r)
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["solvable4", "filiform5"])
+def test_nilpotent_probe_matches_lower_central_series(name):
+    extra = {"solvable4": SOLVABLE4, "filiform5": FILIFORM5}
+    g = algebra_from_brackets(*extra[name]) if name in extra else catalog(name)
+    assert is_nilpotent_probe(g) == _lower_central_series_nilpotent(g)
+    if name == "filiform5":
+        assert is_nilpotent_probe(g)
+
+
+def test_readme_algebra_json_is_heis3():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"```json\n(.*?)\n```", readme, re.S).group(1)
+    assert algebra_from_json(json.loads(block)) == catalog("heis3")
 
 
 def test_json_round_trip(tmp_path):

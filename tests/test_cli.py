@@ -50,6 +50,36 @@ def test_validate_invalid_algebra_exits_one(capsys, tmp_path):
     assert report["results"]["valid"] is False
 
 
+def test_validate_dict_form_jacobi_violation_is_named(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "bad",
+                "dim": 3,
+                "brackets": {"1,2": {"3": "1"}, "1,3": {"1": "1"}, "2,3": {"2": "1"}},
+            }
+        )
+    )
+    code, report, _ = run_json(capsys, "validate", "--file", str(path))
+    assert code == 1
+    assert report["results"]["violation"].startswith("JacobiViolation")
+
+
+def test_validate_unknown_catalog_exits_two(capsys):
+    code, out, err = run(capsys, "validate", "--catalog", "nosuch")
+    assert code == 2 and not out
+    assert "nosuch" in json.loads(err)["error"]
+
+
+def test_validate_file_without_dim_exits_two(capsys, tmp_path):
+    path = tmp_path / "nodim.json"
+    path.write_text(json.dumps({"name": "x", "brackets": [[1, 2, 2, "1"]]}))
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert code == 2 and not out
+    assert '"dim"' in json.loads(err)["error"]
+
+
 def test_validate_malformed_json_exits_nonzero(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -94,6 +95,38 @@ def test_canonicalize_is_lex_min_and_stable():
     for member in enumerate_graphs(2):
         if canonicalize(member).key == cls.key:
             assert canonicalize(member).representative == cls.representative
+
+
+def _orbit_walk(g):
+    """(least member, orbit size, sign) from every vertex relabeling and
+    every edge-swap mask; sign 0 when the least member is reached with both
+    swap parities."""
+    n = g.n
+    seen = {}
+    for perm in itertools.permutations(range(n)):
+        moved = lambda t: t if t < 2 else perm[t - 2] + 2
+        relabeled = [None] * n
+        for k, (a, b) in enumerate(g.targets):
+            relabeled[perm[k]] = (moved(a), moved(b))
+        for mask in range(1 << n):
+            member = tuple(
+                (b, a) if mask >> k & 1 else (a, b) for k, (a, b) in enumerate(relabeled)
+            )
+            parity = -1 if bin(mask).count("1") % 2 else 1
+            seen[member] = parity if seen.get(member, parity) == parity else 0
+    best = min(seen)
+    return best, len(seen), seen[best]
+
+
+def test_canonicalize_matches_orbit_walk():
+    graphs = [g for n in (1, 2, 3) for g in enumerate_graphs(n)]
+    graphs += [wheel(r) for wheel in (wheel1_graph, wheel2_graph) for r in range(2, 6)]
+    for g in graphs:
+        best, size, sign = _orbit_walk(g)
+        cls = canonicalize(g)
+        assert cls.representative.targets == best, g
+        assert cls.symmetry_count == size, g
+        assert cls.sign == (sign or 1), g
 
 
 def test_canonicalize_sign_of_edge_swap():
