@@ -9,7 +9,7 @@ and outputs at the JSON/text boundary are 1-based.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -33,6 +33,10 @@ class JacobiViolation(ValueError):
         self.indices = (i, j, k, l)
 
 
+class AlgebraFormatError(ValueError):
+    """Algebra JSON whose fields do not have the documented types."""
+
+
 @dataclass(frozen=True)
 class LieAlgebra:
     """Validated structure constants of a finite-dimensional Lie algebra."""
@@ -40,6 +44,14 @@ class LieAlgebra:
     dim: int
     c: tuple  # c[i][j][k], nested tuples of Fraction
     name: str | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # algebras key the PBW engines; hash the nested Fraction tuple once
+        object.__setattr__(self, "_hash", hash((self.dim, self.c)))
+
+    def __hash__(self):
+        return self._hash
 
     def bracket_coeff(self, i: int, j: int, k: int) -> Fraction:
         return self.c[i][j][k]
@@ -308,15 +320,30 @@ def algebra_to_json(g: LieAlgebra) -> dict:
 
 
 def algebra_from_json(data: dict) -> LieAlgebra:
+    if not isinstance(data, dict):
+        raise AlgebraFormatError("algebra JSON must be an object")
     if "dim" not in data:
         raise KeyError('algebra JSON has no "dim" field')
+    dim = data["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+        raise AlgebraFormatError(f'"dim" must be a nonnegative integer, not {dim!r}')
     entries = data.get("brackets", [])
     if isinstance(entries, dict):
+        if not all(isinstance(row, dict) for row in entries.values()):
+            raise AlgebraFormatError('"brackets" rows must map "k" to a coefficient')
         entries = [
             (*pair.split(","), k, v) for pair, row in entries.items() for k, v in row.items()
         ]
-    brackets = [(int(i), int(j), int(k), as_fraction(v)) for i, j, k, v in entries]
-    return algebra_from_brackets(data["dim"], brackets, name=data.get("name"))
+    if not isinstance(entries, list):
+        raise AlgebraFormatError('"brackets" must be a list or an object')
+    brackets = []
+    for entry in entries:
+        try:
+            i, j, k, v = entry
+            brackets.append((int(i), int(j), int(k), as_fraction(v)))
+        except (TypeError, ValueError) as exc:
+            raise AlgebraFormatError(f"bad bracket entry {entry!r}: {exc}") from exc
+    return algebra_from_brackets(dim, brackets, name=data.get("name"))
 
 
 def load_algebra(path: str) -> LieAlgebra:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .algebra import (
+    AlgebraFormatError,
     LieAlgebra,
     catalog,
     catalog_names,
@@ -52,12 +53,10 @@ def _resolve_algebra(spec: str) -> LieAlgebra:
 
 
 def _load_table(path) -> WeightTable:
-    table = seed_table()
-    if path:
-        table = table.merge(WeightTable.load(path))
-        # exact seed entries win over loaded estimates
-        table = WeightTable.load(path).merge(seed_table())
-    return table
+    if not path:
+        return seed_table()
+    # exact seed entries win over loaded estimates
+    return WeightTable.load(path).merge(seed_table())
 
 
 def _series_json(series) -> dict:
@@ -85,9 +84,9 @@ def cmd_validate(args) -> tuple:
             alg = catalog(args.catalog)
         else:
             alg = load_algebra(args.file)
-    except KeyError as exc:  # unknown catalog name, or no "dim" field
+    except (KeyError, AlgebraFormatError) as exc:  # unknown catalog name, malformed algebra JSON
         raise CliError(exc.args[0]) from exc
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, json.JSONDecodeError) as exc:
         return (
             _report(
                 "validate",

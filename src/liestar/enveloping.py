@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .algebra import LieAlgebra, poisson_tensor
-from .poly import DimensionMismatch, HSeries, Polynomial
+from .poly import DimensionMismatch, HSeries, Polynomial, integer_form
 
 
 class UEAElement:
@@ -78,10 +78,6 @@ class UEAElement:
         return UEAElement(self.dim, {w: c * k for w, c in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def grade_component(self, k: int) -> "UEAElement":
-        """Span of PBW words of length exactly k."""
-        return UEAElement(self.dim, {w: c for w, c in self.terms.items() if len(w) == k})
 
     def max_length(self) -> int:
         return max((len(w) for w in self.terms), default=0)
@@ -227,8 +223,8 @@ class _PBWEngine:
         return out
 
     def gutt_monomial(self, e1: tuple, e2: tuple) -> tuple:
-        """Gutt product of two monomials: ((r, {exps: coeff}), ...) for the
-        nonzero h^r terms, in increasing r."""
+        """Gutt product of two monomials: ((r, den, {exps: int}), ...) for the
+        nonzero h^r terms, in increasing r; coefficient = int / den."""
         key = (e1, e2)
         out = self._gutt.get(key)
         if out is None:
@@ -237,7 +233,9 @@ class _PBWEngine:
             for exps, c in self.unsymmetrize(self.mul(self.sym(e1), self.sym(e2))).items():
                 r = total - sum(exps)
                 parts.setdefault(r, {})[exps] = c * 2 ** r
-            out = self._gutt[key] = tuple(sorted(parts.items()))
+            out = self._gutt[key] = tuple(
+                (r, *integer_form(part)) for r, part in sorted(parts.items())
+            )
         return out
 
 
@@ -296,14 +294,31 @@ def gutt_product(p: Polynomial, q: Polynomial, g: LieAlgebra, order: int | None 
     if order is None:
         order = max(p.degree() + q.degree(), 0)
     engine = _engine(g)
-    coeffs: list = [{} for _ in range(order + 1)]
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            for r, part in engine.gutt_monomial(e1, e2):
+    dp, ip = integer_form(p.terms)
+    dq, iq = integer_form(q.terms)
+    # one pass for the common denominator L_r of each h^r, one to accumulate
+    pairs = []
+    lcms = [1] * (order + 1)
+    for e1, n1 in ip.items():
+        for e2, n2 in iq.items():
+            parts = engine.gutt_monomial(e1, e2)
+            pairs.append((n1 * n2, parts))
+            for r, den, _ in parts:
                 if r > order:
                     break
-                _accumulate(coeffs[r], part, c1 * c2)
-    return HSeries(g.dim, order, [Polynomial(g.dim, c) for c in coeffs])
+                lcms[r] = math.lcm(lcms[r], den)
+    acc: list = [{} for _ in range(order + 1)]
+    for weight, parts in pairs:
+        for r, den, part in parts:
+            if r > order:
+                break
+            terms, scale = acc[r], weight * (lcms[r] // den)
+            for exps, num in part.items():
+                terms[exps] = terms.get(exps, 0) + scale * num
+    coeffs = [
+        Polynomial._from_integer_form(g.dim, dp * dq * lcm, terms) for lcm, terms in zip(lcms, acc)
+    ]
+    return HSeries(g.dim, order, coeffs)
 
 
 def gutt_power(x: Polynomial, k: int, g: LieAlgebra, order: int | None = None) -> HSeries:
@@ -417,23 +432,6 @@ def ch_series(x: Polynomial, y: Polynomial, n: int, g: LieAlgebra) -> list:
     return out
 
 
-def _ch_plain(x: Polynomial, y: Polynomial, n: int, g: LieAlgebra) -> list:
-    """c_1..c_n with the plain bracket [X, Y] = Pi(X, Y); plain polynomials."""
-    pi = poisson_tensor(g)
-    bracket = (0, pi.bracket)
-    cs = _ch_terms(x, y, n, bracket)
-    return [cs[i].get(0, Polynomial.zero(g.dim)) for i in range(1, n + 1)]
-
-
-def _truncated_exp(p: Polynomial, max_degree: int) -> Polynomial:
-    out = Polynomial.zero(p.dim)
-    power = Polynomial.one(p.dim)
-    for k in range(max_degree + 1):
-        out = out + power * Fraction(1, math.factorial(k))
-        power = power * p
-    return Polynomial(p.dim, {e: c for e, c in out.terms.items() if sum(e) <= max_degree})
-
-
 def _partitions(r: int):
     """Partitions of r as {part_size: multiplicity} dicts."""
     def rec(remaining: int, max_part: int):
@@ -447,30 +445,6 @@ def _partitions(r: int):
                     d[m] = n
                     yield d
     yield from rec(r, r)
-
-
-def gutt_cochain(r: int, x: Polynomial, y: Polynomial, g: LieAlgebra,
-                 max_degree: int = 6) -> Polynomial:
-    """h^r coefficient of the Gutt product of two exponentials of linear
-    forms, expanded combinatorially from the Campbell-Hausdorff coefficients
-    (plain Poisson bracket, overall factor 2^r), truncated at total degree
-    `max_degree`.  Cross-check only; the product itself comes from
-    gutt_product."""
-    if r < 0:
-        raise ValueError("cochain order must be nonnegative")
-    dim = g.dim
-    if r == 0:
-        return _truncated_exp(x + y, max_degree)
-    cs = _ch_plain(x, y, r + 1, g)  # cs[i-1] = c_i
-    total = Polynomial.zero(dim)
-    for partition in _partitions(r):
-        factor = Polynomial.one(dim)
-        for m, n in sorted(partition.items()):
-            factor = factor * (cs[m] ** n) * Fraction(1, math.factorial(n))
-        total = total + factor
-    total = total * Fraction(2 ** r)
-    out = _truncated_exp(x + y, max_degree) * total
-    return Polynomial(dim, {e: c for e, c in out.terms.items() if sum(e) <= max_degree})
 
 
 def gutt_linear_cochain(r: int, x: Polynomial, f: Polynomial, g: LieAlgebra) -> Polynomial:

@@ -109,9 +109,6 @@ class DiffOperator:
     def max_order(self) -> int:
         return max((len(k) for k in self.terms), default=0)
 
-    def kills_constants(self) -> bool:
-        return () not in self.terms
-
     def apply(self, f):
         if isinstance(f, HSeries):
             return HSeries(f.dim, f.order, [self.apply(p) for p in f.coeffs])
@@ -223,21 +220,21 @@ class BiDiffOperator:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def vanishes_on_constants(self) -> bool:
-        return not any(not mi or not mj for mi, mj in self.terms)
-
-    def max_first_order(self) -> int:
-        return max((len(mi) for mi, _ in self.terms), default=0)
-
     def apply(self, f: Polynomial, g: Polynomial) -> Polynomial:
         if f.dim != self.dim or g.dim != self.dim:
             raise DimensionMismatch("operand has wrong dimension")
         out = Polynomial.zero(self.dim)
+        dfs: dict = {}
+        dgs: dict = {}
         for (mi, mj), coeff in self.terms.items():
-            df = f.partial_multi(mi)
+            df = dfs.get(mi)
+            if df is None:
+                df = dfs[mi] = f.partial_multi(mi)
             if df.is_zero:
                 continue
-            dg = g.partial_multi(mj)
+            dg = dgs.get(mj)
+            if dg is None:
+                dg = dgs[mj] = g.partial_multi(mj)
             if dg.is_zero:
                 continue
             out = out + coeff * df * dg

@@ -1,13 +1,18 @@
 """Exact multivariate polynomials, truncated formal series in h, and a small parser.
 
-All coefficients are `fractions.Fraction`; there is no floating point anywhere
-in this module.  Values are immutable in practice: no method mutates its
-operands, every operation returns a fresh object.
+Coefficients are `fractions.Fraction` at every public boundary: `terms` maps
+exponent tuples to nonzero Fractions, and there is no floating point anywhere
+in this module.  The inner loop of the polynomial product runs on integer
+numerators over a common denominator and builds one Fraction per result term.
+Values are immutable in practice: no method mutates its operands, every
+operation returns a fresh object.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Union
 
 Rational = Union[Fraction, int, str]
@@ -61,6 +66,20 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @classmethod
+    def _trusted(cls, dim: int, terms: dict) -> "Polynomial":
+        """Wrap exponent tuples of length dim with nonzero Fraction
+        coefficients without checking them again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    @classmethod
+    def _from_integer_form(cls, dim: int, den: int, ints: dict) -> "Polynomial":
+        """The polynomial with coefficients ints[e] / den; zeros are dropped."""
+        return cls._trusted(dim, {e: Fraction(v, den) for e, v in ints.items() if v})
 
     # -- constructors -------------------------------------------------
 
@@ -137,13 +156,21 @@ class Polynomial:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Polynomial(self.dim, terms)
+            s = terms.get(e)
+            if s is None:
+                terms[e] = c
+                continue
+            s += c
+            if s:
+                terms[e] = s
+            else:
+                del terms[e]
+        return Polynomial._trusted(self.dim, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.dim, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -156,14 +183,18 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, str)):
             k = as_fraction(other)
-            return Polynomial(self.dim, {e: c * k for e, c in self.terms.items()})
+            if not k:
+                return Polynomial.zero(self.dim)
+            return Polynomial._trusted(self.dim, {e: c * k for e, c in self.terms.items()})
         self._check(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.dim, terms)
+        d1, n1 = integer_form(self.terms)
+        d2, n2 = integer_form(other.terms)
+        acc: dict = {}
+        for e1, a in n1.items():
+            for e2, b in n2.items():
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc.get(e, 0) + a * b
+        return Polynomial._from_integer_form(self.dim, d1 * d2, acc)
 
     __rmul__ = __mul__
 
@@ -183,13 +214,13 @@ class Polynomial:
         """d/dx_{index}, 0-based."""
         if not 0 <= index < self.dim:
             raise DimensionMismatch(f"variable index {index} out of range")
+        # lowering one exponent is injective on the terms it keeps
         terms = {}
         for exps, c in self.terms.items():
             n = exps[index]
             if n:
-                e = exps[:index] + (n - 1,) + exps[index + 1:]
-                terms[e] = terms.get(e, Fraction(0)) + c * n
-        return Polynomial(self.dim, terms)
+                terms[exps[:index] + (n - 1,) + exps[index + 1:]] = c * n if n > 1 else c
+        return Polynomial._trusted(self.dim, terms)
 
     def partial_multi(self, multi: Iterable[int]) -> "Polynomial":
         out = self
@@ -238,6 +269,13 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial(d={self.dim}, {self})"
+
+
+def integer_form(terms: Mapping[tuple, Fraction]) -> tuple:
+    """(den, {exps: int}) with terms[e] == ints[e] / den, den the least
+    common denominator."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
 
 
 def _format_term(coeff: Fraction, exps: tuple, hpow: int) -> str:
@@ -393,9 +431,6 @@ class HSeries:
 # Rational literals are "p" or "p/q"; variables are x1..xd.  Implicit
 # multiplication is rejected by construction (adjacent bases fail to parse).
 # ---------------------------------------------------------------------------
-
-_TOKEN_KINDS = ("num", "var", "op", "end")
-
 
 def _tokenize(text: str):
     tokens = []

@@ -80,6 +80,39 @@ def test_validate_file_without_dim_exits_two(capsys, tmp_path):
     assert '"dim"' in json.loads(err)["error"]
 
 
+def test_validate_file_with_non_integer_dim_exits_two(capsys, tmp_path):
+    path = tmp_path / "strdim.json"
+    path.write_text(json.dumps({"dim": "3", "brackets": []}))
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert code == 2 and not out
+    assert '"dim"' in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        3,
+        {"dim": 3, "brackets": [[1, 2, 3]]},
+        {"dim": 3, "brackets": 5},
+        {"dim": 3, "brackets": {"1,2": 4}},
+        {"dim": 3, "brackets": [[1, 2, 3, 0.5]]},
+    ],
+)
+def test_validate_malformed_algebra_json_exits_two(capsys, tmp_path, data):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert code == 2 and not out
+    assert json.loads(err)["error"].startswith("CliError")
+
+
+def test_validate_missing_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "missing.json"
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert code == 2 and not out
+    assert "FileNotFoundError" in json.loads(err)["error"]
+
+
 def test_validate_malformed_json_exits_nonzero(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

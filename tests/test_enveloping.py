@@ -140,6 +140,68 @@ def test_gutt_caches_do_not_leak_between_algebras(monkeypatch):
             assert product(e1, e2, algebras[name]) == alone[name][k]
 
 
+def _gutt_reference(p, q, g, order):
+    """Gutt product through the public maps, in Fraction arithmetic: h^r
+    collects 2^r times the part of sigma^-1(sigma(x^e1) sigma(x^e2)) that is
+    r degrees below |e1| + |e2|."""
+    out = [{} for _ in range(order + 1)]
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            u = uea_mul(symmetrize(Polynomial(g.dim, {e1: 1}), g),
+                        symmetrize(Polynomial(g.dim, {e2: 1}), g), g)
+            for exps, c in unsymmetrize(u, g).terms.items():
+                r = sum(e1) + sum(e2) - sum(exps)
+                if r <= order:
+                    out[r][exps] = out[r].get(exps, Fraction(0)) + c1 * c2 * c * 2 ** r
+    return [{e: c for e, c in terms.items() if c} for terms in out]
+
+
+def test_gutt_product_matches_fraction_reference():
+    # mixed denominators in the factors and in the monomial parts, default
+    # and truncated orders, and a product whose terms cancel
+    rng = random.Random(23)
+    coeffs = [Fraction(1, 2), Fraction(2, 3), Fraction(-5, 7), Fraction(3)]
+    for name in catalog_names():
+        g = catalog(name)
+        d = g.dim
+        monos = [e for e in _monomials(d, 2, d) if sum(e)]
+        cases = []
+        for _ in range(4):
+            p, q = ({e: rng.choice(coeffs) for e in rng.sample(monos, 3)} for _ in range(2))
+            cases.append((Polynomial(d, p), Polynomial(d, q)))
+        # the cross terms of (x1/2 + 2x2/3)(x1/2 - 2x2/3) cancel at h^0, and
+        # so do those of (x1 + x2)(x1 - x2), whose coefficients are integers
+        u = lin([Fraction(1, 2)] + [0] * (d - 1), d)
+        v = lin([0, Fraction(2, 3)] + [0] * (d - 2), d)
+        cases.append((u + v, u - v))
+        cases.append((u * 2 + v * Fraction(3, 2), u * 2 - v * Fraction(3, 2)))
+        for p, q in cases:
+            full = p.degree() + q.degree()
+            for order in (None, 1, full - 1):
+                got = gutt_product(p, q, g, order=order)
+                want = _gutt_reference(p, q, g, full if order is None else order)
+                assert got.order == len(want) - 1
+                for r, terms in enumerate(want):
+                    assert got.coeffs[r].terms == terms
+                    assert all(type(c) is Fraction and c != 0 for c in got.coeffs[r].terms.values())
+
+
+def test_engine_lookup_does_not_rehash_the_algebra(monkeypatch):
+    g = catalog("so3")
+    calls = []
+    real = Fraction.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    x = Polynomial.variable(0, 3)
+    for _ in range(3):
+        gutt_product(x, x, g)
+    assert calls == []
+
+
 def test_gutt_heis3_basic():
     heis = catalog("heis3")
     x1 = Polynomial.variable(0, 3)

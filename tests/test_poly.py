@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -116,3 +117,97 @@ def test_hseries_scalar_mul():
     s = HSeries.from_polynomial(x, 2)
     assert (s * 2).coefficient(0) == x * 2
     assert (Fraction(1, 2) * s).coefficient(0) == x * Fraction(1, 2)
+
+
+# -- the integer-numerator kernel against a naive all-Fraction reference -----
+
+_COEFFS = [Fraction(1, 2), Fraction(2, 3), Fraction(-5, 7), Fraction(3), Fraction(-1, 6), Fraction(7, 4)]
+
+
+def _random_terms(rng, dim, max_degree=3, size=4):
+    terms = {}
+    for _ in range(size):
+        exps = tuple(rng.randrange(max_degree + 1) for _ in range(dim))
+        terms[exps] = terms.get(exps, Fraction(0)) + rng.choice(_COEFFS)
+    return {e: c for e, c in terms.items() if c}
+
+
+def _ref_add(t1, t2):
+    out = {}
+    for terms in (t1, t2):
+        for e, c in terms.items():
+            out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_scale(t, k):
+    return {e: c * k for e, c in t.items() if c * k}
+
+
+def _ref_mul(t1, t2):
+    out = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_partial(t, i):
+    out = {}
+    for e, c in t.items():
+        if e[i]:
+            lower = e[:i] + (e[i] - 1,) + e[i + 1:]
+            out[lower] = out.get(lower, Fraction(0)) + c * e[i]
+    return {e: c for e, c in out.items() if c}
+
+
+def assert_terms(p, want):
+    assert p.terms == want
+    assert all(type(v) is Fraction and v != 0 for v in p.terms.values())
+
+
+def _cases(seed, count=40):
+    rng = random.Random(seed)
+    x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    half, third = Fraction(1, 2), Fraction(2, 3)
+    # products whose cross terms cancel: (x/2 + 2y/3)(x/2 - 2y/3), the same
+    # with integer coefficients, and a factor of -1 that cancels a whole sum
+    yield x * half + y * third, x * half - y * third
+    yield x + y, x - y
+    yield x * half + y * third, -(x * half + y * third)
+    for _ in range(count):
+        dim = rng.randrange(1, 4)
+        yield (Polynomial(dim, _random_terms(rng, dim)), Polynomial(dim, _random_terms(rng, dim)))
+
+
+def test_kernel_add_sub_neg_match_fraction_reference():
+    for p, q in _cases(5):
+        assert_terms(p + q, _ref_add(p.terms, q.terms))
+        assert_terms(p - q, _ref_add(p.terms, _ref_scale(q.terms, Fraction(-1))))
+        assert_terms(-p, _ref_scale(p.terms, Fraction(-1)))
+        assert_terms(p + (-p), {})
+
+
+def test_kernel_mul_matches_fraction_reference():
+    for p, q in _cases(6):
+        assert_terms(p * q, _ref_mul(p.terms, q.terms))
+        assert_terms(q * p, _ref_mul(p.terms, q.terms))
+        for k in (0, 3, Fraction(-5, 7), "2/9"):
+            assert_terms(p * k, _ref_scale(p.terms, Fraction(k)))
+            assert_terms(k * p, _ref_scale(p.terms, Fraction(k)))
+    x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+    assert_terms((x * Fraction(1, 2) + y) * (x * Fraction(1, 2) - y),
+                 {(2, 0): Fraction(1, 4), (0, 2): Fraction(-1)})
+
+
+def test_kernel_partial_matches_fraction_reference():
+    rng = random.Random(7)
+    for p, _ in _cases(8):
+        for i in range(p.dim):
+            assert_terms(p.partial(i), _ref_partial(p.terms, i))
+        multi = [rng.randrange(p.dim) for _ in range(rng.randrange(4))]
+        want = p.terms
+        for i in multi:
+            want = _ref_partial(want, i)
+        assert_terms(p.partial_multi(multi), want)
