@@ -86,7 +86,9 @@ def cmd_validate(args) -> tuple:
             alg = load_algebra(args.file)
     except (KeyError, AlgebraFormatError) as exc:  # unknown catalog name, malformed algebra JSON
         raise CliError(exc.args[0]) from exc
-    except (ValueError, json.JSONDecodeError) as exc:
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{args.file} is not JSON: {exc}") from exc
+    except ValueError as exc:
         return (
             _report(
                 "validate",

@@ -104,41 +104,34 @@ def _monomial_of_word(word: tuple, dim: int) -> tuple:
     return tuple(exps)
 
 
-def _accumulate(acc: dict, terms: Mapping, scale: Fraction) -> None:
-    for key, c in terms.items():
-        acc[key] = acc.get(key, 0) + scale * c
-
-
-def _nonzero(acc: dict) -> dict:
-    return {key: c for key, c in acc.items() if c}
-
-
 class _PBWEngine:
     """PBW normal ordering, symmetrization and Gutt monomial products for one
-    Lie algebra.
+    Lie algebra, in integers.
 
-    Elements are plain dicts {PBW word: Fraction}.  The caches are keyed by
-    words and exponent tuples only; the engine itself stands for the
-    algebra.  Cached dicts are shared and must not be mutated.
+    Words are in the basis Y_i = D X_i, with D the least common denominator
+    of the structure constants: the brackets D C_ji^k are integers, and a
+    Y-word of length m is D^m times its X-word.  Elements are plain dicts
+    {PBW word: int}.  The caches are keyed by words and exponent tuples
+    only; the engine itself stands for the algebra.  Cached dicts are shared
+    and must not be mutated.
     """
 
     def __init__(self, g: LieAlgebra):
-        d = g.dim
-        self.dim = d
-        # brackets[j][i]: nonzero (k, C_ji^k), the terms of [x_j, x_i]
+        self.dim = g.dim
+        self.scale = scale = math.lcm(*(c.denominator for plane in g.c for row in plane for c in row))
+        # brackets[j][i]: nonzero (k, D C_ji^k), the terms of [Y_j, Y_i]
         self._brackets = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(g.c[j][i]) if c) for i in range(d))
-            for j in range(d)
+            tuple(tuple((k, int(c * scale)) for k, c in enumerate(row) if c) for row in plane) for plane in g.c
         )
         self._words: dict = {}
         self._sym: dict = {}
         self._gutt: dict = {}
 
     def normalize(self, word: tuple) -> dict:
-        """PBW rewrite of an arbitrary word.
+        """PBW rewrite of an arbitrary Y-word.
 
-        Rewrites the first descent x_j x_i -> x_i x_j + sum_k C_ji^k x_k.  The
-        result is independent of the rewrite order (PBW theorem); a test
+        Rewrites the first descent Y_j Y_i -> Y_i Y_j + sum_k D C_ji^k Y_k.
+        The result is independent of the rewrite order (PBW theorem); a test
         checks it against rewrites of randomly chosen descents.
         """
         out = self._words.get(word)
@@ -153,90 +146,117 @@ class _PBWEngine:
                 head, tail = word[:t], word[t + 2:]
                 acc = dict(self.normalize(head + (i, j) + tail))
                 for k, coeff in self._brackets[j][i]:
-                    _accumulate(acc, self.normalize(head + (k,) + tail), coeff)
-                return _nonzero(acc)
-        return {word: Fraction(1)}
+                    for w, c in self.normalize(head + (k,) + tail).items():
+                        acc[w] = acc.get(w, 0) + coeff * c
+                return {w: c for w, c in acc.items() if c}
+        return {word: 1}
 
-    def left_mul(self, i: int, u: dict) -> dict:
-        """X_i * u."""
-        acc: dict = {}
+    def _add_left_mul(self, acc: dict, i: int, u: dict) -> None:
+        """acc += Y_i * u."""
+        normalize = self.normalize
         for w, c in u.items():
-            _accumulate(acc, self.normalize((i,) + w), c)
-        return _nonzero(acc)
+            for v, n in normalize((i,) + w).items():
+                acc[v] = acc.get(v, 0) + c * n
 
     def mul(self, u: dict, v: dict) -> dict:
         """u * v as a chain of left multiplications by single generators;
-        products X_s * v are shared between words of u with a common suffix s."""
+        products Y_s * v are shared between words of u with a common suffix s."""
         suffixes = {(): v}
 
         def times_v(word):
             out = suffixes.get(word)
             if out is None:
-                out = suffixes[word] = self.left_mul(word[0], times_v(word[1:]))
+                acc: dict = {}
+                self._add_left_mul(acc, word[0], times_v(word[1:]))
+                out = suffixes[word] = {w: c for w, c in acc.items() if c}
             return out
 
         acc: dict = {}
         for w, c in u.items():
-            _accumulate(acc, times_v(w), c)
-        return _nonzero(acc)
+            for x, n in times_v(w).items():
+                acc[x] = acc.get(x, 0) + c * n
+        return {x: c for x, c in acc.items() if c}
 
-    def sym(self, exps: tuple) -> dict:
-        """sigma(x^a), the average of all orderings of the letters of x^a.
+    def sym(self, exps: tuple) -> tuple:
+        """(M(a), N(a)) for a = exps, with sigma(y^a) = N(a) / M(a).
 
-        A share a_i/m of the orderings starts with letter i, so
-        sigma(x^a) = sum_i (a_i/m) X_i sigma(x^(a - e_i)) with m = |a|.
+        The orderings that start with letter i are Y_i times those of
+        y^(a - e_i), so N(a) = sum_i Y_i N(a - e_i) and M(a) = sum_i M(a - e_i).
         """
         out = self._sym.get(exps)
         if out is None:
-            m = sum(exps)
-            if m == 0:
-                out = {(): Fraction(1)}
+            if not any(exps):
+                out = (1, {(): 1})
             else:
+                count = 0
                 acc: dict = {}
                 for i, a in enumerate(exps):
                     if a:
-                        lower = exps[:i] + (a - 1,) + exps[i + 1:]
-                        _accumulate(acc, self.left_mul(i, self.sym(lower)), Fraction(a, m))
-                out = _nonzero(acc)
+                        lower_count, lower = self.sym(exps[:i] + (a - 1,) + exps[i + 1:])
+                        count += lower_count
+                        self._add_left_mul(acc, i, lower)
+                out = (count, {w: c for w, c in acc.items() if c})
             self._sym[exps] = out
         return out
 
-    def symmetrize(self, p: Mapping) -> dict:
-        acc: dict = {}
-        for exps, coeff in p.items():
-            _accumulate(acc, self.sym(exps), coeff)
-        return _nonzero(acc)
-
-    def unsymmetrize(self, u: Mapping) -> dict:
-        """Inverse of sym, degree by degree: sigma is a filtered isomorphism
-        whose leading term is the sorted word."""
+    def unsymmetrize(self, den: int, u: dict) -> list:
+        """sigma^-1(u / den) in y-monomials: [(m, L, {exps: int})], one entry
+        per nonzero PBW length m from the top down, y^exps having coefficient
+        int / L.  A top word with coefficient c leads (c / L) sigma(y^a) =
+        (c / L) N(a) / M(a).  The rest and L are first multiplied by K, the
+        lcm over the layer of M(a) / gcd(M(a), c), so that subtracting these
+        stays integral; the top words cancel exactly."""
         rest = dict(u)
-        out: dict = {}
+        layers = []
         while rest:
             m = max(len(w) for w in rest)
-            layer = {_monomial_of_word(w, self.dim): c for w, c in rest.items() if len(w) == m}
-            out.update(layer)
-            for exps, c in layer.items():
-                _accumulate(rest, self.sym(exps), -c)
-            rest = _nonzero(rest)
+            top = [(_monomial_of_word(w, self.dim), c) for w, c in rest.items() if len(w) == m]
+            k = 1
+            for exps, c in top:
+                count = self.sym(exps)[0]
+                k = math.lcm(k, count // math.gcd(count, c))
+            if k != 1:
+                rest = {w: c * k for w, c in rest.items()}
+            for exps, c in top:
+                count, terms = self.sym(exps)
+                s = c * k // count
+                for w, n in terms.items():
+                    rest[w] = rest.get(w, 0) - s * n
+            rest = {w: c for w, c in rest.items() if c}
             assert all(len(w) < m for w in rest)
-        return out
+            layers.append((m, den, dict(top)))
+            den *= k
+        return layers
 
     def gutt_monomial(self, e1: tuple, e2: tuple) -> tuple:
         """Gutt product of two monomials: ((r, den, {exps: int}), ...) for the
-        nonzero h^r terms, in increasing r; coefficient = int / den."""
+        nonzero h^r terms, in increasing r; coefficient = int / den in lowest
+        terms.  sigma(x^e) = N(e) / (D^|e| M(e)) and y^e = D^|e| x^e, so the
+        layer r degrees below |e1| + |e2| carries 2^r / D^r."""
         key = (e1, e2)
         out = self._gutt.get(key)
         if out is None:
+            count1, n1 = self.sym(e1)
+            count2, n2 = self.sym(e2)
             total = sum(e1) + sum(e2)
-            parts: dict = {}
-            for exps, c in self.unsymmetrize(self.mul(self.sym(e1), self.sym(e2))).items():
-                r = total - sum(exps)
-                parts.setdefault(r, {})[exps] = c * 2 ** r
-            out = self._gutt[key] = tuple(
-                (r, *integer_form(part)) for r, part in sorted(parts.items())
-            )
+            parts = []
+            for m, den, layer in self.unsymmetrize(count1 * count2, self.mul(n1, n2)):
+                r = total - m
+                den *= self.scale ** r
+                g = math.gcd(den, *(c << r for c in layer.values()))
+                parts.append((r, den // g, {exps: (c << r) // g for exps, c in layer.items()}))
+            out = self._gutt[key] = tuple(parts)
         return out
+
+    def y_form(self, terms: Mapping) -> tuple:
+        """(den, {word: int}) for an element with X-word keys and Fraction
+        values: sum_w terms[w] X_w == sum_w ints[w] Y_w / den."""
+        return integer_form({w: c / self.scale ** len(w) for w, c in terms.items()})
+
+    def x_terms(self, den: int, terms: dict) -> dict:
+        """The Fraction coefficients in the X basis of sum_w terms[w] Y_w / den."""
+        scale = self.scale
+        return {w: Fraction(c * scale ** len(w), den) for w, c in terms.items()}
 
 
 _ENGINES: dict = {}
@@ -255,7 +275,8 @@ def pbw_normalize(word, g: LieAlgebra) -> UEAElement:
     word = tuple(word)
     if any(not 0 <= i < g.dim for i in word):
         raise DimensionMismatch(f"basis index out of range in {word}")
-    return UEAElement._trusted(g.dim, dict(_engine(g).normalize(word)))
+    engine = _engine(g)
+    return UEAElement._trusted(g.dim, engine.x_terms(engine.scale ** len(word), engine.normalize(word)))
 
 
 def _check_element(u: UEAElement, g: LieAlgebra) -> None:
@@ -266,21 +287,37 @@ def _check_element(u: UEAElement, g: LieAlgebra) -> None:
 def uea_mul(u: UEAElement, v: UEAElement, g: LieAlgebra) -> UEAElement:
     _check_element(u, g)
     _check_element(v, g)
-    return UEAElement._trusted(g.dim, _engine(g).mul(u.terms, v.terms))
+    engine = _engine(g)
+    du, iu = engine.y_form(u.terms)
+    dv, iv = engine.y_form(v.terms)
+    return UEAElement._trusted(g.dim, engine.x_terms(du * dv, engine.mul(iu, iv)))
 
 
 def symmetrize(p: Polynomial, g: LieAlgebra) -> UEAElement:
     """The symmetrization map from polynomials to the enveloping algebra."""
     if p.dim != g.dim:
         raise DimensionMismatch("polynomial dimension does not match the algebra")
-    return UEAElement._trusted(g.dim, _engine(g).symmetrize(p.terms))
+    engine = _engine(g)
+    # sigma(x^e) = N(e) / (D^|e| M(e)) in the Y basis
+    den, ints = integer_form({e: c / (engine.scale ** sum(e) * engine.sym(e)[0]) for e, c in p.terms.items()})
+    acc: dict = {}
+    for exps, c in ints.items():
+        for w, n in engine.sym(exps)[1].items():
+            acc[w] = acc.get(w, 0) + c * n
+    return UEAElement._trusted(g.dim, engine.x_terms(den, {w: c for w, c in acc.items() if c}))
 
 
 def unsymmetrize(u: UEAElement, g: LieAlgebra) -> Polynomial:
     """Inverse of symmetrize, computed degree by degree (sigma is a filtered
     isomorphism with identity leading term)."""
     _check_element(u, g)
-    return Polynomial(g.dim, _engine(g).unsymmetrize(u.terms))
+    engine = _engine(g)
+    terms = {}
+    # y^e = D^|e| x^e
+    for m, den, layer in engine.unsymmetrize(*engine.y_form(u.terms)):
+        power = engine.scale ** m
+        terms.update((exps, Fraction(c * power, den)) for exps, c in layer.items())
+    return Polynomial._trusted(g.dim, terms)
 
 
 def gutt_product(p: Polynomial, q: Polynomial, g: LieAlgebra, order: int | None = None) -> HSeries:

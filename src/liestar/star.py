@@ -118,6 +118,21 @@ class GuttStarProduct(StarProduct):
         return self._cochains[r]
 
 
+def _class_weight(rep, table: WeightTable):
+    """(value, stderr, provenance) of a good class, or None: the product of
+    its components' weights when they are all exact, else its table entry,
+    else the product of estimated component weights."""
+    factored = None
+    if rep.n >= 2:
+        try:
+            factored = factorized_weight(rep, table)
+        except (ValueError, KeyError):  # indecomposable, or a component has no weight
+            pass
+    if factored is not None and factored[2] != PROVENANCE_ESTIMATED:
+        return factored
+    return table_weight(rep, table) or factored
+
+
 def assemble_kontsevich(
     pi: PoissonTensor,
     order: int,
@@ -137,12 +152,7 @@ def assemble_kontsevich(
                 continue
             if not include_wheels and has_internal_cycle(rep):
                 continue
-            looked = table_weight(rep, table)
-            if looked is None and len(rep.targets) and rep.n >= 2:
-                try:
-                    looked = factorized_weight(rep, table)
-                except (ValueError, KeyError):
-                    looked = None
+            looked = _class_weight(rep, table)
             if looked is None:
                 raise StarProductError(f"missing weight for class {cls.key}")
             w, _, prov = looked

@@ -114,12 +114,12 @@ def test_validate_missing_file_exits_two(capsys, tmp_path):
 
 
 def test_validate_malformed_json_exits_nonzero(capsys, tmp_path):
+    # a file that is not JSON is an input error, like JSON of the wrong shape
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    code, report, _ = run_json(capsys, "validate", "--file", str(path))
-    assert code == 1
-    assert report["results"]["valid"] is False
-    assert "violation" in report["results"]
+    code, out, err = run(capsys, "validate", "--file", str(path))
+    assert code == 2 and not out
+    assert json.loads(err)["error"].startswith(f"CliError: {path} is not JSON")
 
 
 def test_product_gutt_so3(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from liestar import enveloping
-from liestar.algebra import catalog, catalog_names
+from liestar.algebra import algebra_from_brackets, catalog, catalog_names
 from liestar.enveloping import (
     UEAElement,
     bernoulli,
@@ -22,6 +22,14 @@ from liestar.enveloping import (
 from liestar.poly import DimensionMismatch, HSeries, Polynomial, parse_poly
 
 
+# so3 with non-integral brackets: the least common denominator of the
+# structure constants is D = 12, so the PBW engine works in Y_i = 12 X_i
+SO3Q = algebra_from_brackets(
+    3, [(1, 2, 3, Fraction(1, 2)), (2, 3, 1, Fraction(2, 3)), (1, 3, 2, Fraction(3, 4))], name="so3q"
+)
+ALGEBRAS = [catalog(name) for name in catalog_names()] + [SO3Q]
+
+
 def lin(coeffs, d):
     return Polynomial.linear([Fraction(c) for c in coeffs], d)
 
@@ -33,9 +41,10 @@ def test_pbw_normalize_heis3():
     assert el.terms == {(0, 1): Fraction(1), (2,): Fraction(-1)}
 
 
-def _normalize_random_descents(word, g, rng):
-    """PBW normal form that rewrites a randomly chosen descent of each word."""
-    todo = {tuple(word): Fraction(1)}
+def _normalize_random_descents(terms, g, rng):
+    """PBW normal form of {word: Fraction} in Fraction arithmetic, rewriting
+    a randomly chosen descent of each word."""
+    todo = dict(terms)
     done = {}
     while todo:
         w, c = todo.popitem()
@@ -57,11 +66,11 @@ def _normalize_random_descents(word, g, rng):
 def test_pbw_normalize_confluent_under_random_rewrite_orders():
     # PBW theorem: the normal form does not depend on which descent is rewritten
     rng = random.Random(17)
-    for name in catalog_names():
-        g = catalog(name)
+    for g in ALGEBRAS:
         for _ in range(40):
             word = tuple(rng.randrange(g.dim) for _ in range(rng.randint(0, 6)))
-            assert pbw_normalize(word, g).terms == _normalize_random_descents(word, g, rng)
+            want = _normalize_random_descents({word: Fraction(1)}, g, rng)
+            assert pbw_normalize(word, g).terms == want
 
 
 def test_uea_mul_associative():
@@ -102,8 +111,7 @@ def _monomials(dim, max_degree, max_vars):
 def test_symmetrize_matches_average_over_orderings():
     # the definition: sigma(x^a) averages pbw_normalize over the distinct
     # orderings of the word of x^a, each with weight prod(a_i!)/m!
-    for name in catalog_names():
-        g = catalog(name)
+    for g in ALGEBRAS:
         for exps in _monomials(g.dim, 5, 3):
             word = [i for i, e in enumerate(exps) for _ in range(e)]
             weight = Fraction(math.prod(math.factorial(e) for e in exps), math.factorial(len(word)))
@@ -113,6 +121,52 @@ def test_symmetrize_matches_average_over_orderings():
                     expected[w] = expected.get(w, 0) + weight * c
             expected = UEAElement(g.dim, expected)
             assert symmetrize(Polynomial(g.dim, {exps: Fraction(1)}), g) == expected
+
+
+def _symmetrize_by_orderings(p, g, rng):
+    """sigma(p) in Fraction arithmetic: each monomial averaged over the
+    distinct orderings of its letters, then PBW-normalized."""
+    words = {}
+    for exps, c in p.terms.items():
+        letters = [i for i, e in enumerate(exps) for _ in range(e)]
+        orderings = set(itertools.permutations(letters))
+        for word in orderings:
+            words[word] = words.get(word, Fraction(0)) + c / len(orderings)
+    return _normalize_random_descents(words, g, rng)
+
+
+def test_rational_brackets_match_fraction_references():
+    # SO3Q exercises the engine's rescaling by D: products, sigma and
+    # sigma^-1 against plain Fraction arithmetic in the X basis
+    rng = random.Random(29)
+    coeffs = [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), Fraction(3)]
+    # degree 4 puts words with 4 and with 6 orderings into one top layer
+    monos = list(_monomials(3, 4, 3))
+    g = SO3Q
+
+    def element():
+        words = {}
+        for _ in range(3):
+            word = tuple(rng.randrange(3) for _ in range(rng.randint(0, 4)))
+            words[word] = words.get(word, Fraction(0)) + rng.choice(coeffs)
+        return UEAElement(3, _normalize_random_descents(words, g, rng))
+
+    for _ in range(20):
+        u, v = element(), element()
+        concatenated = {}
+        for w1, c1 in u.terms.items():
+            for w2, c2 in v.terms.items():
+                concatenated[w1 + w2] = concatenated.get(w1 + w2, Fraction(0)) + c1 * c2
+        product = uea_mul(u, v, g)
+        assert product.terms == _normalize_random_descents(concatenated, g, rng)
+        p = unsymmetrize(u, g)
+        assert _symmetrize_by_orderings(p, g, rng) == u.terms
+        q = Polynomial(3, {e: rng.choice(coeffs) for e in rng.sample(monos, 3)})
+        sq = symmetrize(q, g)
+        assert sq.terms == _symmetrize_by_orderings(q, g, rng)
+        assert unsymmetrize(sq, g) == q
+        for terms in (product.terms, p.terms, sq.terms):
+            assert all(type(c) is Fraction and c != 0 for c in terms.values())
 
 
 def test_gutt_caches_do_not_leak_between_algebras(monkeypatch):
@@ -161,8 +215,7 @@ def test_gutt_product_matches_fraction_reference():
     # and truncated orders, and a product whose terms cancel
     rng = random.Random(23)
     coeffs = [Fraction(1, 2), Fraction(2, 3), Fraction(-5, 7), Fraction(3)]
-    for name in catalog_names():
-        g = catalog(name)
+    for g in ALGEBRAS:
         d = g.dim
         monos = [e for e in _monomials(d, 2, d) if sum(e)]
         cases = []
@@ -200,6 +253,35 @@ def test_engine_lookup_does_not_rehash_the_algebra(monkeypatch):
     for _ in range(3):
         gutt_product(x, x, g)
     assert calls == []
+
+
+def test_gutt_product_builds_fractions_only_at_the_boundary(monkeypatch):
+    # the PBW engine adds integers: on a fresh engine, a product makes one
+    # Fraction per output coefficient and at most one per input term
+    monkeypatch.setattr(enveloping, "_ENGINES", {})
+    g = catalog("so3")
+    p = parse_poly("x1^2*x2 + 1/2*x3^2 - x2*x3", 3)
+    q = parse_poly("2/3*x1*x3^2 + x2^3 - x1", 3)
+    made = []
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(cls)
+        return real_new(cls, *args, **kwargs)
+
+    real_new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    if hasattr(Fraction, "_from_coprime_ints"):  # arithmetic skips __new__ from Python 3.12
+        real_coprime = Fraction._from_coprime_ints
+
+        def counting_coprime(cls, *args):
+            made.append(cls)
+            return real_coprime(*args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+    out = gutt_product(p, q, g)
+    monkeypatch.undo()
+    assert sum(len(c.terms) for c in out.coeffs) > 20
+    assert len(made) <= sum(len(c.terms) for c in out.coeffs) + len(p.terms) + len(q.terms)
 
 
 def test_gutt_heis3_basic():

@@ -128,6 +128,31 @@ def test_missing_weight_raises():
         assemble_kontsevich(poisson_tensor(catalog("so3")), 2, WeightTable())
 
 
+def test_union_class_takes_its_exact_weight_over_a_loaded_estimate():
+    # 3:(L,R)(L,3)(R,2) is 1:(L,R) beside the two-vertex wheel, so its weight
+    # is exactly -1/288; a Monte Carlo estimate of it in the table must not
+    # replace that value in C_3
+    from liestar.graphs import canonical_classes, enumerate_graphs, parse_graph
+    from liestar.star import bidiff_of_graph
+    from liestar.weights import WeightEstimate
+
+    union = "3:(L,R)(L,3)(R,2)"
+    pi = poisson_tensor(catalog("so3"))
+    assert not bidiff_of_graph(parse_graph(union), pi).is_zero
+
+    def c3(union_weight):
+        table = seed_table()
+        for cls in canonical_classes(enumerate_graphs(3)):
+            if cls.key != union and not cls.representative.is_bad():
+                table.add_estimate(WeightEstimate(cls.key, 0.0, 1e-4, 20000, 7))
+        union_weight(table)
+        return assemble_kontsevich(pi, 3, table).cochain(3)
+
+    estimated = c3(lambda t: t.add_estimate(WeightEstimate(union, -0.00197, 1e-4, 20000, 7)))
+    exact = c3(lambda t: t.set_exact(union, Fraction(-1, 288)))
+    assert estimated == exact
+
+
 def test_gutt_weyl_defect_vanishes():
     s = GuttStarProduct(catalog("sl2"), 3)
     x = parse_poly("x1 - 2*x2 + x3", 3)
