@@ -180,19 +180,22 @@ def validate_algebra(c, name: str | None = None) -> LieAlgebra:
             for k in range(d):
                 if table[i][j][k] != -table[j][i][k]:
                     raise AntisymmetryViolation(i + 1, j + 1, k + 1)
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                for l in range(d):
-                    total = Fraction(0)
-                    for m in range(d):
-                        total += (
-                            table[i][j][m] * table[m][k][l]
-                            + table[j][k][m] * table[m][i][l]
-                            + table[k][i][m] * table[m][j][l]
-                        )
-                    if total:
-                        raise JacobiViolation(i + 1, j + 1, k + 1, l + 1)
+    # Jacobiator J_ijk^l = sum_m C_ij^m C_mk^l + C_jk^m C_mi^l + C_ki^m C_mj^l,
+    # summed over the nonzero constants only: each product C_ab^m C_mz^l
+    # is the first term at (a, b, z), the second at (z, a, b) and the
+    # third at (b, z, a)
+    nonzero = [(i, j, m, v) for i in range(d) for j in range(d) for m, v in enumerate(table[i][j]) if v]
+    by_first: dict = {}
+    for m, k, l, v in nonzero:
+        by_first.setdefault(m, []).append((k, l, v))
+    jacobiator: dict = {}
+    for a, b, m, u in nonzero:
+        for z, l, v in by_first.get(m, ()):
+            for key in ((a, b, z, l), (z, a, b, l), (b, z, a, l)):
+                jacobiator[key] = jacobiator.get(key, 0) + u * v
+    violations = [key for key, total in jacobiator.items() if total]
+    if violations:
+        raise JacobiViolation(*(t + 1 for t in min(violations)))
     return LieAlgebra(dim=d, c=table, name=name)
 
 

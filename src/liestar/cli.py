@@ -24,7 +24,7 @@ from .algebra import (
     poisson_tensor,
     trace_operator,
 )
-from .graphs import GraphError, canonical_classes, enumerate_graphs, parse_graph
+from .graphs import GraphError, good_classes, parse_graph
 from .poly import parse_poly
 from .star import (
     ESTIMATED,
@@ -50,6 +50,14 @@ def _resolve_algebra(spec: str) -> LieAlgebra:
         except KeyError as exc:  # no "dim" field
             raise CliError(exc.args[0]) from exc
     raise CliError(f"unknown algebra {spec!r}: not a catalog name or file")
+
+
+def _check_counts(args, *flags) -> None:
+    """Reject a negative value of any of the named integer flags."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value < 0:
+            raise CliError(f"--{flag} must be nonnegative, got {value}")
 
 
 def _load_table(path) -> WeightTable:
@@ -118,6 +126,7 @@ def cmd_validate(args) -> tuple:
 
 def cmd_product(args) -> tuple:
     started = time.monotonic()
+    _check_counts(args, "order")
     alg = _resolve_algebra(args.algebra)
     f = parse_poly(args.f, alg.dim)
     g = parse_poly(args.g, alg.dim)
@@ -147,6 +156,7 @@ def cmd_product(args) -> tuple:
 
 def cmd_compare(args) -> tuple:
     started = time.monotonic()
+    _check_counts(args, "order", "degree", "trials")
     alg = _resolve_algebra(args.algebra)
     table = _load_table(args.weights)
     report = verify_equivalence(
@@ -173,10 +183,7 @@ def cmd_weights(args) -> tuple:
     if args.graph:
         graphs = [parse_graph(args.graph)]
     else:
-        classes = canonical_classes(enumerate_graphs(args.n))
-        graphs = [
-            c.representative for c in classes if not c.representative.is_bad()
-        ]
+        graphs = [c.representative for c in good_classes(args.n)]
     estimates = []
     table = seed_table()
     for g in graphs:
@@ -205,6 +212,7 @@ def cmd_weights(args) -> tuple:
 
 def cmd_rho(args) -> tuple:
     started = time.monotonic()
+    _check_counts(args, "order")
     alg = _resolve_algebra(args.algebra)
     table = _load_table(args.weights)
     rho = kontsevich_gutt_rho(alg, args.order, table)

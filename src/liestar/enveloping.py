@@ -51,36 +51,9 @@ class UEAElement:
         object.__setattr__(self, "terms", terms)
         return self
 
-    @classmethod
-    def zero(cls, dim: int) -> "UEAElement":
-        return cls(dim)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other: "UEAElement") -> "UEAElement":
-        if self.dim != other.dim:
-            raise DimensionMismatch("elements over different algebras")
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, Fraction(0)) + c
-        return UEAElement(self.dim, terms)
-
-    def __neg__(self):
-        return UEAElement(self.dim, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        k = Fraction(scalar)
-        return UEAElement(self.dim, {w: c * k for w, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def max_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, UEAElement):

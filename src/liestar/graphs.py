@@ -13,7 +13,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 
 from .algebra import PoissonTensor
 from .operators import BiDiffOperator
@@ -202,6 +201,13 @@ def canonical_classes(graphs) -> list:
     return [out[k] for k in sorted(out)]
 
 
+@lru_cache(maxsize=ENUMERATION_CAP + 1)
+def good_classes(n: int) -> tuple:
+    """The classes of G_n that are not bad, sorted by canonical key; each
+    order is enumerated and canonicalized once per process."""
+    return tuple(c for c in canonical_classes(enumerate_graphs(n)) if not c.representative.is_bad())
+
+
 # -- shapes -------------------------------------------------------------------
 
 
@@ -317,7 +323,16 @@ def has_internal_cycle(g: Graph) -> bool:
 def bidiff_of_graph(g: Graph, pi: PoissonTensor) -> BiDiffOperator:
     """Bidifferential operator of a graph: sum over index assignments of the
     product over vertices of the (differentiated) Poisson components, with
-    edges into L and R becoming derivatives of the two arguments."""
+    edges into L and R becoming derivatives of the two arguments.
+
+    The assignments are walked depth first, vertex by vertex: step k fixes
+    the pair (i, j) of vertex k, branching only over the nonzero components
+    pi^{ij} in sorted order.  The factor d_{incoming(v)} pi^{ij} of a vertex
+    v is multiplied in at the first step that has fixed v's own pair and the
+    source of every edge into v; when it is zero the branch is dropped.  A
+    product of nonzero polynomials is nonzero, so the leaves reached are
+    exactly the assignments with a nonzero term, met in the lexicographic
+    order of the full d^(2n) walk."""
     d = pi.dim
     n = g.n
     if n == 0:
@@ -333,24 +348,34 @@ def bidiff_of_graph(g: Graph, pi: PoissonTensor) -> BiDiffOperator:
                 into_r.append(slot)
             else:
                 incoming[t - 2].append(slot)
+    # ready[k]: the vertices whose factor has all its indices after step k
+    ready = [[] for _ in range(n)]
+    for v in range(n):
+        ready[max([v] + [s // 2 for s in incoming[v]])].append(v)
+    pairs = sorted(pi.components)
+    assign = [0] * (2 * n)
     terms: dict = {}
-    for assign in itertools.product(range(d), repeat=2 * n):
-        factor = Polynomial.one(d)
-        for k in range(n):
-            comp = pi.component(assign[2 * k], assign[2 * k + 1])
-            if comp.is_zero:
-                factor = Polynomial.zero(d)
-                break
-            comp = comp.partial_multi(assign[s] for s in incoming[k])
-            if comp.is_zero:
-                factor = Polynomial.zero(d)
-                break
-            factor = factor * comp
-        if factor.is_zero:
-            continue
-        key = (
-            tuple(sorted(assign[s] for s in into_l)),
-            tuple(sorted(assign[s] for s in into_r)),
-        )
-        terms[key] = terms.get(key, Polynomial.zero(d)) + factor
-    return BiDiffOperator(d, terms)
+
+    def walk(k: int, product: Polynomial | None) -> None:
+        if k == n:
+            key = (
+                tuple(sorted(assign[s] for s in into_l)),
+                tuple(sorted(assign[s] for s in into_r)),
+            )
+            prev = terms.get(key)
+            terms[key] = product if prev is None else prev + product
+            return
+        for i, j in pairs:
+            assign[2 * k], assign[2 * k + 1] = i, j
+            out = product
+            for v in ready[k]:
+                comp = pi.components[(assign[2 * v], assign[2 * v + 1])]
+                f = comp.partial_multi(assign[s] for s in incoming[v])
+                if f.is_zero:
+                    break
+                out = f if out is None else out * f
+            else:
+                walk(k + 1, out)
+
+    walk(0, None)
+    return BiDiffOperator._trusted(d, {key: c for key, c in terms.items() if not c.is_zero})

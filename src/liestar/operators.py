@@ -209,6 +209,15 @@ class BiDiffOperator:
         raise AttributeError("BiDiffOperator is immutable")
 
     @classmethod
+    def _trusted(cls, dim: int, terms: dict) -> "BiDiffOperator":
+        """Wrap keys of two sorted in-range multi-indices with nonzero
+        coefficients of dimension dim without checking them again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    @classmethod
     def zero(cls, dim: int) -> "BiDiffOperator":
         return cls(dim)
 

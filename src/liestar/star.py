@@ -15,14 +15,7 @@ from fractions import Fraction
 
 from .algebra import LieAlgebra, PoissonTensor, poisson_tensor, trace_operator
 from .enveloping import _partitions, gutt_product
-from .graphs import (
-    Graph,
-    canonical_classes,
-    enumerate_graphs,
-    bidiff_of_graph,
-    has_internal_cycle,
-    wheel1_graph,
-)
+from .graphs import bidiff_of_graph, good_classes, has_internal_cycle, wheel1_graph
 from .operators import (
     BiDiffOperator,
     DiffOperator,
@@ -146,10 +139,8 @@ def assemble_kontsevich(
     for r in range(1, order + 1):
         total = BiDiffOperator.zero(pi.dim)
         tag = EXACT
-        for cls in canonical_classes(enumerate_graphs(r)):
+        for cls in good_classes(r):
             rep = cls.representative
-            if rep.is_bad():
-                continue
             if not include_wheels and has_internal_cycle(rep):
                 continue
             looked = _class_weight(rep, table)

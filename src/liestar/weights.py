@@ -13,8 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .graphs import Graph, GraphError, canonicalize, decompose, parse_graph
 from .poly import as_fraction
 
@@ -96,11 +94,13 @@ def _edge_list(g: Graph):
     return edges
 
 
-def _integrand_batch(g: Graph, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _integrand_batch(g: Graph, x, y):
     """Density of the weight form at a batch of configurations.
 
-    x, y have shape (m, n); returns shape (m,), including the
+    x, y are numpy arrays of shape (m, n); returns shape (m,), including the
     1/(n! (2 pi)^(2n)) normalization."""
+    import numpy as np
+
     m, n = x.shape
     rows = np.zeros((m, 2 * n, 2 * n))
     for row, (k, t) in enumerate(_edge_list(g)):
@@ -137,6 +137,8 @@ def integrand(g: Graph, config) -> float:
         for j in range(i + 1, len(special)):
             if abs(special[i] - special[j]) < COLLISION_GUARD:
                 raise WeightError("coincident points in configuration")
+    import numpy as np
+
     x = np.array([[z.real for z in pts]])
     y = np.array([[z.imag for z in pts]])
     return float(_integrand_batch(g, x, y)[0])
@@ -144,6 +146,8 @@ def integrand(g: Graph, config) -> float:
 
 def _sample_block(g: Graph, count: int, seed: int, block: int) -> float:
     """Mean of `count` importance-weighted integrand draws for one block."""
+    import numpy as np
+
     n = g.n
     rng = np.random.default_rng([seed, block])
     total = 0.0
@@ -201,6 +205,10 @@ def estimate_weight(
         raise WeightError("sample count must be positive")
     if g.n == 0:
         return WeightEstimate(g.encode(), 1.0, 0.0, samples, seed, "MonteCarloMean")
+    # numpy is loaded here, before the workers start, and not at import:
+    # commands that estimate no weight never pay for it
+    import numpy as np
+
     blocks = min(blocks, samples)
     base, extra = divmod(samples, blocks)
     counts = [base + (1 if b < extra else 0) for b in range(blocks)]

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -50,6 +51,45 @@ def test_validate_rejects_jacobi_violation():
     # [e1,e2]=e3, [e1,e3]=e1 breaks Jacobi
     with pytest.raises(JacobiViolation):
         algebra_from_brackets(3, [(1, 2, 3, 1), (1, 3, 1, 1)])
+
+
+def _first_jacobi_violation(c):
+    """1-based (i, j, k, l) of the first nonzero Jacobiator entry in
+    lexicographic order, from the dense d^5 sum; None when there is none."""
+    d = len(c)
+    for i, j, k, l in itertools.product(range(d), repeat=4):
+        total = sum(
+            c[i][j][m] * c[m][k][l] + c[j][k][m] * c[m][i][l] + c[k][i][m] * c[m][j][l]
+            for m in range(d)
+        )
+        if total:
+            return i + 1, j + 1, k + 1, l + 1
+    return None
+
+
+def test_jacobi_violation_names_the_first_failing_indices():
+    """Random antisymmetric constants: the sparse check accepts exactly the
+    algebras the dense sum accepts and names the same (i, j, k, l)."""
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(150):
+        d = rng.randint(2, 4)
+        c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+        density = rng.random()
+        for i, j in itertools.combinations(range(d), 2):
+            for k in range(d):
+                if rng.random() < density:
+                    c[i][j][k] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                    c[j][i][k] = -c[i][j][k]
+        expected = _first_jacobi_violation(c)
+        seen.add(expected is None)
+        if expected is None:
+            validate_algebra(c)
+            continue
+        with pytest.raises(JacobiViolation) as err:
+            validate_algebra(c)
+        assert err.value.indices == expected
+    assert seen == {True, False}
 
 
 def test_poisson_tensor_linear_and_antisymmetric():

@@ -163,6 +163,23 @@ def test_product_bad_polynomial_exits_two(capsys):
     assert json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("compare", "--algebra", "so3", "--trials", "-1"), "--trials"),
+        (("compare", "--algebra", "so3", "--degree", "-1"), "--degree"),
+        (("compare", "--algebra", "so3", "--order", "-1"), "--order"),
+        (("rho", "--algebra", "so3", "--order", "-2"), "--order"),
+        (("product", "--algebra", "so3", "--f", "x1", "--g", "x2", "--order", "-1"), "--order"),
+    ],
+    ids=["compare-trials", "compare-degree", "compare-order", "rho-order", "product-order"],
+)
+def test_negative_count_exits_two_naming_the_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert flag in json.loads(err)["error"]
+
+
 def test_compare_exit_zero_and_report(capsys):
     code, report, _ = run_json(
         capsys, "compare", "--algebra", "aff1", "--trials", "3", "--degree", "3"

@@ -4,6 +4,8 @@ from collections import Counter
 import pytest
 
 from liestar.graphs import (
+    L,
+    R,
     Graph,
     GraphError,
     bidiff_of_graph,
@@ -12,13 +14,14 @@ from liestar.graphs import (
     classify,
     decompose,
     enumerate_graphs,
+    good_classes,
     has_internal_cycle,
     parse_graph,
     wheel1_graph,
     wheel2_graph,
 )
-from liestar.algebra import catalog, poisson_tensor
-from liestar.poly import parse_poly
+from liestar.algebra import PoissonTensor, catalog, catalog_names, poisson_tensor
+from liestar.poly import Polynomial, parse_poly
 
 
 def test_enumeration_counts():
@@ -190,3 +193,83 @@ def test_bidiff_class_invariance():
     f = parse_poly("x1^2*x2", 3)
     h = parse_poly("x2*x3", 3)
     assert (b_g * cls.sign).apply(f, h) == b_rep.apply(f, h)
+
+
+def test_good_classes_are_the_classes_that_are_not_bad():
+    for n in range(4):
+        expected = [c for c in canonical_classes(enumerate_graphs(n)) if not c.representative.is_bad()]
+        assert list(good_classes(n)) == expected
+    assert len(good_classes(3)) == 31
+
+
+def _brute_force_bidiff(g, pi):
+    """(key, coefficient) pairs of B_G, in order of first appearance, from
+    every one of the d^(2n) index assignments: the product over vertices, in
+    vertex order, of d_{incoming(k)} pi^{assign of k}."""
+    d, n = pi.dim, g.n
+    into = [[2 * v + which for v, which in g.incoming(t)] for t in range(n + 2)]
+    one = Polynomial.one(d)
+    terms = {}
+    for assign in itertools.product(range(d), repeat=2 * n):
+        factor = one
+        for k in range(n):
+            comp = pi.components.get((assign[2 * k], assign[2 * k + 1]))
+            if comp is None:
+                break
+            factor = factor * comp.partial_multi(assign[s] for s in into[k + 2])
+            if factor.is_zero:
+                break
+        else:
+            key = tuple(tuple(sorted(assign[s] for s in into[side])) for side in (L, R))
+            terms[key] = terms.get(key, Polynomial.zero(d)) + factor
+    return [(key, c) for key, c in terms.items() if not c.is_zero]
+
+
+def _compiled_graphs(max_wheel):
+    graphs = [c.representative for n in range(4) for c in canonical_classes(enumerate_graphs(n))]
+    return graphs + [wheel(r) for wheel in (wheel1_graph, wheel2_graph) for r in range(2, max_wheel + 1)]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_bidiff_of_graph_matches_every_assignment(name):
+    """Every class of G_0..G_3 and the wheels up to r = 4: the same terms,
+    in the same order, as the sum over all d^(2n) assignments."""
+    pi = poisson_tensor(catalog(name))
+    for g in _compiled_graphs(4):
+        assert list(bidiff_of_graph(g, pi).terms.items()) == _brute_force_bidiff(g, pi), g
+
+
+def test_bidiff_of_graph_matches_every_assignment_on_a_nonlinear_tensor():
+    """Quadratic and cubic components have nonzero second derivatives, so
+    vertices with two incoming edges contribute too."""
+    comps = {
+        (0, 1): parse_poly("x3^2 + x1", 3),
+        (0, 2): parse_poly("x1*x2*x3", 3),
+        (1, 2): parse_poly("x2", 3),
+    }
+    comps.update({(j, i): -p for (i, j), p in list(comps.items())})
+    pi = PoissonTensor(3, comps)
+    nonzero = 0
+    for g in _compiled_graphs(3):
+        expected = _brute_force_bidiff(g, pi)
+        assert list(bidiff_of_graph(g, pi).terms.items()) == expected, g
+        nonzero += bool(expected) and any(len(g.incoming(t)) == 2 for t in range(2, g.n + 2))
+    assert nonzero > 0  # some compiled graph differentiates a component twice
+
+
+def test_bidiff_of_graph_multiplies_only_along_surviving_branches(monkeypatch):
+    """The 31 good classes of G_3 on filiform4 take a few hundred polynomial
+    products; walking all 4^6 assignments of each class takes 10 792."""
+    pi = poisson_tensor(catalog("filiform4"))
+    calls = 0
+    original = Polynomial.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return original(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    for cls in good_classes(3):
+        bidiff_of_graph(cls.representative, pi)
+    assert calls <= 300
