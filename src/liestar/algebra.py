@@ -1,5 +1,6 @@
-"""Lie-algebra data: structure constants, validation, adjoint maps, the
-linear Poisson tensor, trace operators, and a catalog of named test algebras.
+"""Lie-algebra data: structure constants, validation, the linear Poisson
+tensor, trace operators read off their symbols, and a catalog of named test
+algebras.
 
 Structure constants are stored densely as nested tuples of Fractions, indexed
 0-based as c[i][j][k] for the coefficient of e_k in [e_i, e_j].  All inputs
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .operators import DiffOperator, BiDiffOperator
+from .operators import DiffOperator
 from .poly import DimensionMismatch, Polynomial, as_fraction
 
 
@@ -74,19 +75,6 @@ class LieAlgebra:
         return f"LieAlgebra({self.name or 'unnamed'}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class AdjointMatrix:
-    """Matrix of ad_X in the fixed basis: (ad_X)^a_b = sum_i X_i C_ib^a."""
-
-    dim: int
-    entries: tuple  # entries[a][b]
-    coefficients: tuple  # the linear-form coefficients X_i
-
-    def __getitem__(self, ab):
-        a, b = ab
-        return self.entries[a][b]
-
-
 class PoissonTensor:
     """Antisymmetric bivector with polynomial components pi^{ij}."""
 
@@ -135,9 +123,6 @@ class PoissonTensor:
                 continue
             out = out + p * df * dg
         return out
-
-    def as_bidiff(self) -> BiDiffOperator:
-        return BiDiffOperator(self.dim, {((i,), (j,)): p for (i, j), p in self.components.items()})
 
     def jacobi_defects(self):
         """Polynomials sum_l (pi^{lk} d_l pi^{ij} + cyclic) for all i<j<k."""
@@ -212,24 +197,6 @@ def algebra_from_brackets(dim: int, brackets: Iterable[tuple], name: str | None 
     return validate_algebra(c, name=name)
 
 
-def adjoint(g: LieAlgebra, x: Sequence) -> AdjointMatrix:
-    """Matrix of ad_X for the linear form with coefficients x."""
-    coeffs = [as_fraction(v) for v in x]
-    if len(coeffs) != g.dim:
-        raise DimensionMismatch(f"expected {g.dim} coefficients, got {len(coeffs)}")
-    d = g.dim
-    entries = tuple(
-        tuple(sum((coeffs[i] * g.c[i][b][a] for i in range(d)), Fraction(0)) for b in range(d))
-        for a in range(d)
-    )
-    return AdjointMatrix(dim=d, entries=entries, coefficients=tuple(coeffs))
-
-
-def adjoint_basis(g: LieAlgebra, i: int) -> AdjointMatrix:
-    """ad_{e_i}, 0-based basis index."""
-    return adjoint(g, [1 if j == i else 0 for j in range(g.dim)])
-
-
 def poisson_tensor(g: LieAlgebra) -> PoissonTensor:
     """Kirillov-Poisson tensor: pi^{ij} = sum_k C_ij^k x^k."""
     d = g.dim
@@ -248,33 +215,34 @@ def poisson_tensor(g: LieAlgebra) -> PoissonTensor:
     return tensor
 
 
+def _ad_xi(g: LieAlgebra) -> list:
+    """ad_xi = sum_i xi_i ad_{e_i} as a d x d matrix of linear forms in xi:
+    (ad_xi)^a_b = sum_i xi_i C_ib^a."""
+    d = g.dim
+    return [
+        [Polynomial.linear([g.c[i][b][a] for i in range(d)], d) for b in range(d)]
+        for a in range(d)
+    ]
+
+
 def trace_operator(g: LieAlgebra, r: int) -> DiffOperator:
     """Constant-coefficient operator D_r whose symbol is Tr(ad_xi^r).
 
-    ad_xi = sum_i xi_i ad_{e_i} is a d x d matrix of linear forms in xi, with
-    (ad_xi)^a_b = sum_i xi_i C_ib^a; its r-th power takes r - 1 matrix
-    products.  The coefficient of xi^a in the trace is the sum of
-    Tr(ad_{e_{i1}} ... ad_{e_{ir}}) over the ordered words (i1..ir) with
-    multiset a, and becomes the coefficient of the derivative d_a."""
+    The r-th power of ad_xi takes r - 1 matrix products.  The coefficient of
+    xi^a in the trace is the sum of Tr(ad_{e_{i1}} ... ad_{e_{ir}}) over the
+    ordered words (i1..ir) with multiset a, and becomes the coefficient of
+    the derivative d_a."""
     if r < 2:
         raise ValueError("trace operator requires r >= 2")
     d = g.dim
     zero = Polynomial.zero(d)
-    ad = [
-        [Polynomial.linear([g.c[i][b][a] for i in range(d)], d) for b in range(d)]
-        for a in range(d)
-    ]
-    power = ad
+    ad = power = _ad_xi(g)
     for _ in range(r - 1):
         power = [
             [sum((power[a][t] * ad[t][b] for t in range(d)), zero) for b in range(d)]
             for a in range(d)
         ]
-    symbol = sum((power[a][a] for a in range(d)), zero)
-    return DiffOperator(d, {
-        tuple(i for i, e in enumerate(exps) for _ in range(e)): Polynomial.constant(d, v)
-        for exps, v in symbol.terms.items()
-    })
+    return DiffOperator.from_symbol(sum((power[a][a] for a in range(d)), zero))
 
 
 def is_nilpotent_probe(g: LieAlgebra, rmax: int = 6) -> bool:

@@ -22,7 +22,6 @@ from .algebra import (
     is_nilpotent_probe,
     load_algebra,
     poisson_tensor,
-    trace_operator,
 )
 from .graphs import GraphError, good_classes, parse_graph
 from .poly import parse_poly
@@ -156,7 +155,9 @@ def cmd_product(args) -> tuple:
 
 def cmd_compare(args) -> tuple:
     started = time.monotonic()
-    _check_counts(args, "order", "degree", "trials")
+    _check_counts(args, "order", "degree")
+    if args.trials < 1:  # with no trials no pair would be checked
+        raise CliError(f"--trials must be at least 1, got {args.trials}")
     alg = _resolve_algebra(args.algebra)
     table = _load_table(args.weights)
     report = verify_equivalence(
@@ -180,6 +181,7 @@ def cmd_compare(args) -> tuple:
 
 def cmd_weights(args) -> tuple:
     started = time.monotonic()
+    _check_counts(args, "seed")
     if args.graph:
         graphs = [parse_graph(args.graph)]
     else:

@@ -12,7 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .algebra import LieAlgebra, poisson_tensor
+from .algebra import LieAlgebra, _ad_xi, poisson_tensor
+from .operators import DiffOperator
 from .poly import DimensionMismatch, HSeries, Polynomial, integer_form
 
 
@@ -442,59 +443,30 @@ def ch_series(x: Polynomial, y: Polynomial, n: int, g: LieAlgebra) -> list:
     return out
 
 
-def _partitions(r: int):
-    """Partitions of r as {part_size: multiplicity} dicts."""
-    def rec(remaining: int, max_part: int):
-        if remaining == 0:
-            yield {}
-            return
-        for m in range(min(remaining, max_part), 0, -1):
-            for n in range(remaining // m, 0, -1):
-                for rest in rec(remaining - m * n, m - 1):
-                    d = dict(rest)
-                    d[m] = n
-                    yield d
-    yield from rec(r, r)
-
-
 def gutt_linear_cochain(r: int, x: Polynomial, f: Polynomial, g: LieAlgebra) -> Polynomial:
     """h^r coefficient of x * f for linear x, via the Bernoulli closed form:
 
         (-1)^r 2^r B_r / r! * sum Pi^{i1 j1} d_{i1} Pi^{i2 j2} ...
                               d_{i_{r-1}} Pi^{i_r j_r} d_{i_r} x d_{j1..jr} f
-    """
+
+    Each factor d_{i_{t-1}} Pi^{i_t j_t} = C_{i_t j_t}^{i_{t-1}} with d_{j_t}
+    read as xi_{j_t} is a step u <- -ad_xi u, and so is the outer Pi^{i1 j1}
+    = sum_k C_{i1 j1}^k x_k.  So the sum is sum_k x_k u_k(d) with
+    u = (-ad_xi)^r applied to the coefficients of x."""
     if r < 0:
         raise ValueError("cochain order must be >= 0")
     if not x.is_linear_form():
         raise ValueError("first factor must be a linear form")
-    if r == 0:
-        return x * f
     dim = g.dim
     br = bernoulli(r)
     if not br:
         return Polynomial.zero(dim)
-    xc = x.linear_coefficients()
-    pi = poisson_tensor(g)
-    prefactor = Fraction((-1) ** r * 2 ** r) * br / math.factorial(r)
-    out = Polynomial.zero(dim)
-    # chain: for t >= 2 the factor d_{i_{t-1}} Pi^{i_t j_t} = C_{i_t j_t}^{i_{t-1}}
-    for idx in itertools.product(range(dim), repeat=2 * r):
-        i = idx[:r]
-        j = idx[r:]
-        scalar = xc[i[r - 1]]
-        if not scalar:
-            continue
-        for t in range(1, r):
-            scalar *= g.c[i[t]][j[t]][i[t - 1]]
-            if not scalar:
-                break
-        if not scalar:
-            continue
-        head = pi.component(i[0], j[0])
-        if head.is_zero:
-            continue
-        df = f.partial_multi(j)
-        if df.is_zero:
-            continue
-        out = out + head * df * scalar
-    return out * prefactor
+    zero = Polynomial.zero(dim)
+    ad = _ad_xi(g)
+    u = [Polynomial.constant(dim, c) for c in x.linear_coefficients()]
+    for _ in range(r):
+        u = [-sum((ad[a][b] * u[b] for b in range(dim)), zero) for a in range(dim)]
+    out = zero
+    for k in range(dim):
+        out = out + Polynomial.variable(k, dim) * DiffOperator.from_symbol(u[k]).apply(f)
+    return out * (Fraction((-1) ** r * 2 ** r) * br / math.factorial(r))

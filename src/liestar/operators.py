@@ -106,9 +106,6 @@ class DiffOperator:
     def is_constant_coefficient(self) -> bool:
         return all(c.is_constant() for c in self.terms.values())
 
-    def max_order(self) -> int:
-        return max((len(k) for k in self.terms), default=0)
-
     def apply(self, f):
         if isinstance(f, HSeries):
             return HSeries(f.dim, f.order, [self.apply(p) for p in f.coeffs])
@@ -154,6 +151,15 @@ class DiffOperator:
                     key = normalize_multi(b + j2)
                     terms[key] = terms.get(key, Polynomial.zero(self.dim)) + coeff
         return DiffOperator(self.dim, terms)
+
+    @classmethod
+    def from_symbol(cls, symbol: Polynomial) -> "DiffOperator":
+        """Constant-coefficient operator with the given symbol: x^J -> d_J."""
+        dim = symbol.dim
+        return cls(dim, {
+            tuple(i for i, e in enumerate(exps) for _ in range(e)): Polynomial.constant(dim, v)
+            for exps, v in symbol.terms.items()
+        })
 
     def symbol(self) -> Polynomial:
         """Polynomial symbol of a constant-coefficient operator: d_J -> x^J."""

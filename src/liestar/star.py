@@ -8,20 +8,19 @@ closed-form equivalence exponential from wheel weights and trace operators.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import LieAlgebra, PoissonTensor, poisson_tensor, trace_operator
-from .enveloping import _partitions, gutt_product
+from .enveloping import gutt_product
 from .graphs import bidiff_of_graph, good_classes, has_internal_cycle, wheel1_graph
 from .operators import (
     BiDiffOperator,
     DiffOperator,
-    ExtractionError,
     extract_bidiff_operator,
-    hochschild_coboundary,
     normalize_multi,
 )
 from .poly import HSeries, Polynomial
@@ -312,10 +311,16 @@ def kontsevich_gutt_rho(
     algebra: LieAlgebra, order: int, table: WeightTable
 ) -> EquivalenceOperator:
     """Equivalence operator exp(sum over r >= 2 of h^r 2^r (r-1)! w_r D_r)
-    with w_r the one-spoke wheel weight and D_r the order-r trace operator."""
+    with w_r the one-spoke wheel weight and D_r the order-r trace operator.
+
+    The D_r have constant coefficients, so they compose by multiplying their
+    symbols: the exponential is taken of the h-series of symbols S and each
+    h^n coefficient is read back as an operator.  h^n is estimated when n is
+    a sum of loaded orders of which one has an estimated weight."""
     dim = algebra.dim
     exponent = []
-    exp_prov = {}
+    estimated = set()
+    symbols = [Polynomial.zero(dim)] * (order + 1)
     for r in range(2, order + 1):
         d_r = trace_operator(algebra, r)
         if d_r.is_zero:
@@ -328,29 +333,29 @@ def kontsevich_gutt_rho(
         if coeff == 0:
             continue
         exponent.append((r, coeff, d_r))
-        exp_prov[r] = ESTIMATED if prov == PROVENANCE_ESTIMATED else EXACT
-    terms = [DiffOperator.identity(dim)]
-    provenance = [EXACT]
-    loaded = {r: op * c for r, c, op in exponent}
+        symbols[r] = d_r.symbol() * coeff
+        if prov == PROVENANCE_ESTIMATED:
+            estimated.add(r)
+    s = HSeries(dim, order, symbols)
+    power = total = HSeries.from_polynomial(Polynomial.one(dim), order)
+    for k in range(1, order // 2 + 1):  # S starts at h^2
+        power = power * s * Fraction(1, k)
+        total = total + power
+    # reachable[n]: n is a sum of loaded orders; tainted[n]: one such sum
+    # uses an estimated order
+    reachable = [True] + [False] * order
+    tainted = [False] * (order + 1)
     for n in range(1, order + 1):
-        total = DiffOperator.zero(dim)
-        tag = EXACT
-        for parts in _partitions(n):
-            if any(p < 2 or p not in loaded for p in parts):
-                continue
-            piece = DiffOperator.identity(dim)
-            denom = 1
-            for p, mult in parts.items():
-                for _ in range(mult):
-                    piece = piece.compose(loaded[p])
-                denom *= math.factorial(mult)
-            total = total + piece * Fraction(1, denom)
-            if any(exp_prov.get(p) == ESTIMATED for p in parts):
-                tag = ESTIMATED
-        terms.append(total)
-        provenance.append(tag)
+        for r, _, _ in exponent:
+            if r <= n and reachable[n - r]:
+                reachable[n] = True
+                tainted[n] = tainted[n] or tainted[n - r] or r in estimated
     return EquivalenceOperator(
-        dim, order, tuple(terms), tuple(exponent), tuple(provenance)
+        dim,
+        order,
+        tuple(DiffOperator.from_symbol(p) for p in total.coeffs),
+        tuple(exponent),
+        tuple(ESTIMATED if t else EXACT for t in tainted),
     )
 
 
@@ -365,8 +370,6 @@ def random_polynomial(dim: int, degree: int, rng: random.Random) -> Polynomial:
         Fraction(1, 3),
     ]
     out = Polynomial.zero(dim)
-    import itertools
-
     for exps in itertools.product(range(degree + 1), repeat=dim):
         if sum(exps) > degree:
             continue

@@ -244,10 +244,20 @@ def test_json_fractions():
 
 
 def test_adjoint_traces_match_c2_trace_term():
-    # Tr(ad_1 ad_1) on so3 is -2
-    from liestar.algebra import adjoint_basis
-
-    g = catalog("so3")
-    ad1 = adjoint_basis(g, 0)
-    tr = sum(ad1[a, b] * ad1[b, a] for a in range(3) for b in range(3))
-    assert tr == -2
+    # the coefficient of d_k d_l in D_2 is the sum of Tr(ad_{e_i} ad_{e_j})
+    # over the ordered pairs (i, j) with multiset {k, l}; on so3
+    # Tr(ad_1 ad_1) = -2
+    for name in catalog_names():
+        g = catalog(name)
+        d = g.dim
+        ad = [[[g.c[i][b][a] for b in range(d)] for a in range(d)] for i in range(d)]
+        expected = {}
+        for i, j in itertools.product(range(d), repeat=2):
+            trace = sum(ad[i][a][b] * ad[j][b][a] for a in range(d) for b in range(d))
+            key = tuple(sorted((i, j)))
+            expected[key] = expected.get(key, 0) + trace
+        d2 = trace_operator(g, 2)
+        assert d2.is_constant_coefficient()
+        got = {multi: coeff.constant_term() for multi, coeff in d2.terms.items()}
+        assert got == {k: v for k, v in expected.items() if v}, name
+    assert trace_operator(catalog("so3"), 2).terms[(0, 0)] == Polynomial.constant(3, -2)

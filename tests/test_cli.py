@@ -171,13 +171,21 @@ def test_product_bad_polynomial_exits_two(capsys):
         (("compare", "--algebra", "so3", "--order", "-1"), "--order"),
         (("rho", "--algebra", "so3", "--order", "-2"), "--order"),
         (("product", "--algebra", "so3", "--f", "x1", "--g", "x2", "--order", "-1"), "--order"),
+        (("weights", "--n", "1", "--samples", "10", "--seed", "-3"), "--seed"),
     ],
-    ids=["compare-trials", "compare-degree", "compare-order", "rho-order", "product-order"],
+    ids=["compare-trials", "compare-degree", "compare-order", "rho-order", "product-order", "weights-seed"],
 )
 def test_negative_count_exits_two_naming_the_flag(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out
     assert flag in json.loads(err)["error"]
+
+
+def test_compare_without_trials_exits_two_naming_the_flag(capsys):
+    # no trial would check no pair, yet report "defect_free": true
+    code, out, err = run(capsys, "compare", "--algebra", "so3", "--trials", "0")
+    assert code == 2 and not out
+    assert "--trials" in json.loads(err)["error"]
 
 
 def test_compare_exit_zero_and_report(capsys):

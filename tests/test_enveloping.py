@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from liestar import enveloping
-from liestar.algebra import algebra_from_brackets, catalog, catalog_names
+from liestar.algebra import algebra_from_brackets, catalog, catalog_names, poisson_tensor
 from liestar.enveloping import (
     UEAElement,
     bernoulli,
@@ -389,6 +389,37 @@ def test_gutt_linear_cochain_matches_product():
             prod = gutt_product(x, f, g, order=4)
             for r in range(5):
                 assert gutt_linear_cochain(r, x, f, g) == prod.coefficient(r)
+
+
+def _bernoulli_chain_by_index_walk(r, x, f, g):
+    """The Bernoulli closed form summed over all d^(2r) index tuples
+    (i1..ir, j1..jr): Pi^{i1 j1} * C_{i2 j2}^{i1} ... C_{ir jr}^{i(r-1)} *
+    x_{ir} * d_{j1..jr} f, times (-1)^r 2^r B_r / r!."""
+    if r == 0:
+        return x * f
+    d = g.dim
+    pi = poisson_tensor(g)
+    xc = x.linear_coefficients()
+    out = Polynomial.zero(d)
+    for idx in itertools.product(range(d), repeat=2 * r):
+        i, j = idx[:r], idx[r:]
+        scalar = xc[i[r - 1]]
+        for t in range(1, r):
+            scalar *= g.c[i[t]][j[t]][i[t - 1]]
+        if scalar:
+            out = out + pi.component(i[0], j[0]) * f.partial_multi(j) * scalar
+    return out * (Fraction((-1) ** r * 2**r) * bernoulli(r) / math.factorial(r))
+
+
+@pytest.mark.parametrize("g", ALGEBRAS, ids=lambda g: g.name)
+def test_gutt_linear_cochain_matches_the_index_walk(g):
+    rng = random.Random(11)
+    d = g.dim
+    f = Polynomial(d, {tuple(rng.randrange(4) for _ in range(d)): Fraction(1) for _ in range(3)})
+    f = f + parse_poly("1/2", d)
+    for x in (lin([1] * d, d), lin([rng.randrange(-2, 3) or 1 for _ in range(d)], d)):
+        for r in range(5):
+            assert gutt_linear_cochain(r, x, f, g) == _bernoulli_chain_by_index_walk(r, x, f, g), r
 
 
 def test_gutt_linear_cochain_odd_orders_vanish():

@@ -1,13 +1,18 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 
-from liestar.algebra import catalog, poisson_tensor, trace_operator
+from liestar.algebra import algebra_from_brackets, catalog, catalog_names, poisson_tensor, trace_operator
+from liestar.enveloping import bernoulli
+from liestar.graphs import canonicalize, wheel1_graph
 from liestar.operators import BiDiffOperator, DiffOperator
 from liestar.poly import HSeries, Polynomial, parse_poly
 from liestar.star import (
+    ESTIMATED,
     EXACT,
     EquivalenceOperator,
     EtaError,
@@ -24,7 +29,7 @@ from liestar.star import (
     weyl_defect,
     weyl_normalize,
 )
-from liestar.weights import seed_table
+from liestar.weights import WeightEstimate, seed_table, table_weight
 
 
 def kontsevich(name, order=2):
@@ -267,6 +272,86 @@ def test_rho_exponential_coefficient():
     assert rho.terms[2] == d2 * Fraction(-1, 12)
     (r, coeff, op) = rho.exponent[0]
     assert r == 2 and coeff == Fraction(-1, 12)
+
+
+def _wheel_table(estimated=()):
+    """seed_table plus the one-spoke wheels r = 3..6 at their closed form
+    w_r = -B_r / (2r r! (r-1)!), except that the orders in `estimated` get
+    a nonzero Monte Carlo entry instead."""
+    table = seed_table()
+    for r in range(3, 7):
+        cls = canonicalize(wheel1_graph(r))
+        if r in estimated:
+            table.add_estimate(WeightEstimate(cls.key, cls.sign * 1.5e-3 / r, 1e-4, 1000, r))
+        else:
+            value = -bernoulli(r) / (2 * r * math.factorial(r) * math.factorial(r - 1))
+            table.set_exact(cls.key, cls.sign * value)
+    return table
+
+
+def _partitions(n, largest=None):
+    """Partitions of n as non-increasing tuples of parts."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _rho_by_partitions(g, order, table):
+    """exp(sum_r c_r D_r) through h^order as a sum over partitions of n of
+    the composed loaded operators divided by the multiplicity factorials,
+    with c_r = 2^r (r-1)! w_r; returns (exponent, terms)."""
+    exponent = []
+    for r in range(2, order + 1):
+        d_r = trace_operator(g, r)
+        coeff = 2**r * math.factorial(r - 1) * table_weight(wheel1_graph(r), table)[0]
+        if not d_r.is_zero and coeff:
+            exponent.append((r, coeff, d_r))
+    loaded = {r: op * c for r, c, op in exponent}
+    terms = [DiffOperator.identity(g.dim)]
+    for n in range(1, order + 1):
+        total = DiffOperator.zero(g.dim)
+        for parts in _partitions(n):
+            if any(p not in loaded for p in parts):
+                continue
+            piece = DiffOperator.identity(g.dim)
+            for p in parts:
+                piece = piece.compose(loaded[p])
+            denom = math.prod(math.factorial(m) for m in Counter(parts).values())
+            total = total + piece * Fraction(1, denom)
+        terms.append(total)
+    return exponent, terms
+
+
+SO3Q = algebra_from_brackets(
+    3, [(1, 2, 3, Fraction(1, 2)), (2, 3, 1, Fraction(2, 3)), (1, 3, 2, Fraction(3, 4))], name="so3q"
+)
+
+
+@pytest.mark.parametrize("estimated", [(), (3,), (3, 4, 5, 6)], ids=["exact", "mixed", "estimated"])
+def test_rho_equals_the_partition_sum_of_composed_operators(estimated):
+    table = _wheel_table(estimated)
+    for g in [catalog(name) for name in catalog_names()] + [SO3Q]:
+        for order in range(2, 7):
+            rho = kontsevich_gutt_rho(g, order, table)
+            exponent, terms = _rho_by_partitions(g, order, table)
+            assert list(rho.exponent) == exponent, (g.name, order)
+            assert list(rho.terms) == terms, (g.name, order)
+
+
+def test_rho_provenance_follows_sums_of_loaded_orders():
+    # on aff1 every D_r is nonzero and w_5 = 0, so h^n is estimated exactly
+    # when n is a sum of loaded orders 2, 3, 4, 6 that uses 3: h^4 = D_2^2/2
+    # + D_4 is exact although w_3 is estimated
+    g = catalog("aff1")
+    table = _wheel_table(estimated=(3,))
+    got = {}
+    for order in (4, 5, 6):
+        rho = kontsevich_gutt_rho(g, order, table)
+        got[order] = [r for r in range(order + 1) if rho.term_provenance(r) == ESTIMATED]
+    assert got == {4: [3], 5: [3, 5], 6: [3, 5, 6]}
 
 
 def test_equivalence_operator_identity_helper():
