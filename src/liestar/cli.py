@@ -182,6 +182,9 @@ def cmd_compare(args) -> tuple:
 def cmd_weights(args) -> tuple:
     started = time.monotonic()
     _check_counts(args, "seed")
+    if args.samples < 2:
+        # one draw has no standard error; a saved table would pass it as exact
+        raise CliError(f"--samples must be at least 2, got {args.samples}")
     if args.graph:
         graphs = [parse_graph(args.graph)]
     else:

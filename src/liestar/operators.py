@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Mapping
 
-from .poly import DimensionMismatch, HSeries, Polynomial, as_fraction
+from .poly import DimensionMismatch, HSeries, Polynomial, _sum_of_products, as_fraction
 
 Multi = tuple  # sorted tuple of 0-based variable indices
 
@@ -111,10 +112,9 @@ class DiffOperator:
             return HSeries(f.dim, f.order, [self.apply(p) for p in f.coeffs])
         if f.dim != self.dim:
             raise DimensionMismatch("operand has wrong dimension")
-        out = Polynomial.zero(self.dim)
-        for multi, coeff in self.terms.items():
-            out = out + coeff * f.partial_multi(multi)
-        return out
+        return _sum_of_products(
+            self.dim, [(coeff, f.partial_multi(multi)) for multi, coeff in self.terms.items()]
+        )
 
     def __add__(self, other: "DiffOperator") -> "DiffOperator":
         if self.dim != other.dim:
@@ -238,9 +238,9 @@ class BiDiffOperator:
     def apply(self, f: Polynomial, g: Polynomial) -> Polynomial:
         if f.dim != self.dim or g.dim != self.dim:
             raise DimensionMismatch("operand has wrong dimension")
-        out = Polynomial.zero(self.dim)
         dfs: dict = {}
         dgs: dict = {}
+        products = []
         for (mi, mj), coeff in self.terms.items():
             df = dfs.get(mi)
             if df is None:
@@ -250,10 +250,9 @@ class BiDiffOperator:
             dg = dgs.get(mj)
             if dg is None:
                 dg = dgs[mj] = g.partial_multi(mj)
-            if dg.is_zero:
-                continue
-            out = out + coeff * df * dg
-        return out
+            if not dg.is_zero:
+                products.append((coeff, df, dg))
+        return _sum_of_products(self.dim, products)
 
     def __add__(self, other: "BiDiffOperator") -> "BiDiffOperator":
         if self.dim != other.dim:
@@ -334,6 +333,22 @@ class ExtractionError(ValueError):
     """The sampled map is not a differential operator within the order bound."""
 
 
+def _divided_monomials(dim: int, max_order: int) -> dict:
+    """Each multi-index M with |M| <= max_order, by size, mapped to the
+    exponent tuple of x^M and 1 / M!."""
+    return {
+        m: (tuple(multi_counts(m, dim)), Fraction(1, multi_factorial(m, dim)))
+        for m in all_multisets(dim, max_order)
+    }
+
+
+def _subtract_shifted(value: dict, known: Polynomial, shift: tuple, scale: Fraction) -> None:
+    """value -= scale * x^shift * known, on exponent tuples in place."""
+    for exps, c in known.terms.items():
+        e = tuple(map(add, exps, shift))
+        value[e] = value.get(e, 0) - c * scale
+
+
 def extract_diff_operator(
     func: Callable[[Polynomial], Polynomial],
     dim: int,
@@ -343,26 +358,22 @@ def extract_diff_operator(
     """Recover the operator behind a linear map on polynomials.
 
     Applies `func` to divided monomials x^J / J! in order of increasing |J|
-    and solves the triangular system for the coefficients.  Raises
-    ExtractionError if the reconstruction fails on probe monomials beyond
-    `max_order` (operator order larger than the bound, or map not a
-    differential operator at all).
+    and solves the triangular system for the coefficients: d_A x^J / J! is
+    x^(J-A) / (J-A)!.  Raises ExtractionError if the reconstruction fails on
+    probe monomials beyond `max_order` (operator order larger than the
+    bound, or map not a differential operator at all).
     """
+    divided = _divided_monomials(dim, max_order)
     coeffs: dict = {}
-    for multi in all_multisets(dim, max_order):
-        mono = monomial_of_multi(multi, dim) * Fraction(1, multi_factorial(multi, dim))
-        value = func(mono)
+    for multi, (exps, inv) in divided.items():
+        value = dict(func(Polynomial._trusted(dim, {exps: inv})).terms)
         for part, rest in sub_multisets(multi, dim):
-            if part == multi:
-                continue
-            known = coeffs.get(part)
-            if known is None or known.is_zero:
-                continue
-            value = value - known * (
-                monomial_of_multi(rest, dim) * Fraction(1, multi_factorial(rest, dim))
-            )
-        if not value.is_zero:
-            coeffs[multi] = value
+            known = coeffs.get(part)  # None for part == multi, not solved yet
+            if known is not None:
+                _subtract_shifted(value, known, *divided[rest])
+        value = {e: c for e, c in value.items() if c}
+        if value:
+            coeffs[multi] = Polynomial._trusted(dim, value)
     op = DiffOperator(dim, coeffs)
     for probe in all_multisets(dim, max_order + verify_degree):
         if len(probe) <= max_order:
@@ -381,28 +392,21 @@ def extract_bidiff_operator(
     max_order: int,
 ) -> BiDiffOperator:
     """Bidifferential analogue of extract_diff_operator (same order bound per slot)."""
-    keys = list(all_multisets(dim, max_order))
-    keys.sort(key=len)
+    divided = _divided_monomials(dim, max_order)
+    probes = {m: Polynomial._trusted(dim, {exps: inv}) for m, (exps, inv) in divided.items()}
+    splits = {m: list(sub_multisets(m, dim)) for m in divided}
     coeffs: dict = {}
-    for mi in keys:
-        for mj in keys:
-            fi = monomial_of_multi(mi, dim) * Fraction(1, multi_factorial(mi, dim))
-            gj = monomial_of_multi(mj, dim) * Fraction(1, multi_factorial(mj, dim))
-            value = func(fi, gj)
-            for ai, bi in sub_multisets(mi, dim):
-                for aj, bj in sub_multisets(mj, dim):
-                    if (ai, aj) == (mi, mj):
-                        continue
-                    known = coeffs.get((ai, aj))
+    for mi in divided:
+        for mj in divided:
+            value = dict(func(probes[mi], probes[mj]).terms)
+            for ai, bi in splits[mi]:
+                for aj, bj in splits[mj]:
+                    known = coeffs.get((ai, aj))  # None for (mi, mj), not solved yet
                     if known is None:
                         continue
-                    rest = (
-                        monomial_of_multi(bi, dim)
-                        * Fraction(1, multi_factorial(bi, dim))
-                        * monomial_of_multi(bj, dim)
-                        * Fraction(1, multi_factorial(bj, dim))
-                    )
-                    value = value - known * rest
-            if not value.is_zero:
-                coeffs[(mi, mj)] = value
+                    (ei, si), (ej, sj) = divided[bi], divided[bj]
+                    _subtract_shifted(value, known, tuple(map(add, ei, ej)), si * sj)
+            value = {e: c for e, c in value.items() if c}
+            if value:
+                coeffs[(mi, mj)] = Polynomial._trusted(dim, value)
     return BiDiffOperator(dim, coeffs)

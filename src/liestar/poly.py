@@ -278,6 +278,52 @@ def integer_form(terms: Mapping[tuple, Fraction]) -> tuple:
     return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
 
 
+def _sum_of_products(dim: int, products: list) -> Polynomial:
+    """Sum over `products` of the product of each tuple of Polynomials.
+
+    Every distinct factor goes once to integer numerators over its least
+    common denominator, with each exponent tuple packed into one int of
+    `bits` bits per variable (Monagan and Pearce, CASC 2007).  2^bits exceeds
+    the total degree of every product, and no exponent of a product monomial
+    exceeds that degree, so adding packed ints adds exponent tuples without
+    a carry between fields.  All products accumulate over one common
+    denominator and the sum is unpacked once, one Fraction per term."""
+    products = [p for p in products if all(f.terms for f in p)]
+    forms: dict = {}
+    for product in products:
+        for f in product:
+            if id(f) not in forms:
+                forms[id(f)] = (f.degree(), *integer_form(f.terms))
+    bound = max((sum(forms[id(f)][0] for f in p) for p in products), default=0)
+    bits = max(bound, 1).bit_length()
+    shifts = range(0, bits * dim, bits)
+    packed = {
+        key: {sum(e << s for e, s in zip(exps, shifts)): v for exps, v in ints.items()}
+        for key, (_, _, ints) in forms.items()
+    }
+    dens = [math.prod(forms[id(f)][1] for f in p) for p in products]
+    den = math.lcm(*dens)
+    acc: dict = {}
+    for product, d in zip(products, dens):
+        *head, last = [packed[id(f)] for f in product]
+        part = {0: den // d}
+        for factor in head:
+            nxt: dict = {}
+            for k1, a in part.items():
+                for k2, b in factor.items():
+                    k = k1 + k2
+                    nxt[k] = nxt.get(k, 0) + a * b
+            part = nxt
+        for k1, a in part.items():
+            for k2, b in last.items():
+                k = k1 + k2
+                acc[k] = acc.get(k, 0) + a * b
+    mask = (1 << bits) - 1
+    return Polynomial._trusted(dim, {
+        tuple(k >> s & mask for s in shifts): Fraction(v, den) for k, v in acc.items() if v
+    })
+
+
 def _format_term(coeff: Fraction, exps: tuple, hpow: int) -> str:
     factors = []
     if hpow == 1:

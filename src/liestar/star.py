@@ -55,17 +55,26 @@ class StarProduct:
     def multiply(self, f: Polynomial, g: Polynomial) -> HSeries:
         if f.dim != self.dim or g.dim != self.dim:
             raise StarProductError("dimension mismatch")
-        coeffs = [self.cochain(r).apply(f, g) for r in range(self.order + 1)]
-        return HSeries(self.dim, self.order, coeffs)
+        return HSeries(self.dim, self.order, self._multiply_to(f, g, self.order))
+
+    def _multiply_to(self, f: Polynomial, g: Polynomial, k: int) -> list:
+        """The h^0..h^k coefficients of f * g."""
+        return [self.cochain(r).apply(f, g) for r in range(k + 1)]
 
     def multiply_series(self, a: HSeries, b: HSeries) -> HSeries:
+        if a.dim != self.dim or b.dim != self.dim:
+            raise StarProductError("dimension mismatch")
         n = min(self.order, a.order, b.order)
         coeffs = [Polynomial.zero(self.dim) for _ in range(n + 1)]
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                prod = self.multiply(a.coefficient(i), b.coefficient(j))
-                for r in range(n + 1 - i - j):
-                    coeffs[i + j + r] = coeffs[i + j + r] + prod.coefficient(r)
+        for i, f in enumerate(a.coeffs[: n + 1]):
+            if f.is_zero:
+                continue
+            for j, g in enumerate(b.coeffs[: n + 1 - i]):
+                if g.is_zero:
+                    continue
+                # h^(i+j) f * g contributes up to h^n only through h^(n-i-j)
+                for r, p in enumerate(self._multiply_to(f, g, n - i - j), i + j):
+                    coeffs[r] = coeffs[r] + p
         return HSeries(self.dim, n, coeffs)
 
 
@@ -98,6 +107,9 @@ class GuttStarProduct(StarProduct):
         if f.dim != self.dim or g.dim != self.dim:
             raise StarProductError("dimension mismatch")
         return gutt_product(f, g, self.algebra, order=self.order)
+
+    def _multiply_to(self, f: Polynomial, g: Polynomial, k: int) -> list:
+        return list(gutt_product(f, g, self.algebra, order=k).coeffs)
 
     def cochain(self, r: int) -> BiDiffOperator:
         if r not in self._cochains:

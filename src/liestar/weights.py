@@ -9,7 +9,6 @@ import cmath
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -200,16 +199,21 @@ def estimate_weight(
     """Monte Carlo weight estimate, aggregated as a median of block means.
 
     Deterministic in (seed, samples, blocks); the worker count only changes
-    scheduling, never the draws."""
+    scheduling, never the draws.  A graph with internal vertices needs at
+    least two blocks of at least one draw each, or there is no error bar."""
     if samples < 1:
         raise WeightError("sample count must be positive")
     if g.n == 0:
         return WeightEstimate(g.encode(), 1.0, 0.0, samples, seed, "MonteCarloMean")
-    # numpy is loaded here, before the workers start, and not at import:
-    # commands that estimate no weight never pay for it
+    blocks = min(blocks, samples)
+    if blocks < 2:
+        raise WeightError(f"a standard error needs at least 2 blocks of draws, got {blocks}")
+    # numpy and the thread pool are loaded here, before the workers start,
+    # and not at import: commands that estimate no weight never pay for them
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
 
-    blocks = min(blocks, samples)
     base, extra = divmod(samples, blocks)
     counts = [base + (1 if b < extra else 0) for b in range(blocks)]
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
@@ -217,8 +221,6 @@ def estimate_weight(
             pool.map(lambda b: _sample_block(g, counts[b], seed, b), range(blocks))
         )
     arr = np.array(means)
-    if blocks == 1:
-        return WeightEstimate(g.encode(), float(arr[0]), 0.0, samples, seed, "MonteCarloMean")
     mean = float(np.median(arr))
     stderr = _MEDIAN_FACTOR * float(np.std(arr, ddof=1)) / math.sqrt(blocks)
     return WeightEstimate(g.encode(), mean, stderr, samples, seed)

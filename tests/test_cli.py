@@ -172,8 +172,13 @@ def test_product_bad_polynomial_exits_two(capsys):
         (("rho", "--algebra", "so3", "--order", "-2"), "--order"),
         (("product", "--algebra", "so3", "--f", "x1", "--g", "x2", "--order", "-1"), "--order"),
         (("weights", "--n", "1", "--samples", "10", "--seed", "-3"), "--seed"),
+        # one draw has no standard error, yet would be reported with 0.0
+        (("weights", "--graph", "1:(L,R)", "--samples", "1"), "--samples"),
     ],
-    ids=["compare-trials", "compare-degree", "compare-order", "rho-order", "product-order", "weights-seed"],
+    ids=[
+        "compare-trials", "compare-degree", "compare-order", "rho-order", "product-order",
+        "weights-seed", "weights-samples",
+    ],
 )
 def test_negative_count_exits_two_naming_the_flag(capsys, argv, flag):
     code, out, err = run(capsys, *argv)

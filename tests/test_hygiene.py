@@ -55,3 +55,54 @@ def test_unused_import_is_flagged():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+# loaded only for Monte Carlo weights, inside the functions that sample:
+# every command pays at start-up for what its modules import at load time
+MC_ONLY = {"numpy", "concurrent.futures"}
+
+
+def load_time_imports(source: str) -> list:
+    """(line, module) for each import that runs when the module loads: one
+    outside every function body, class bodies and conditionals included."""
+    out = []
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            out.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.append((node.lineno, node.module))
+        pending.extend(ast.iter_child_nodes(node))
+    return sorted(out)
+
+
+def mc_only_at_load(source: str) -> list:
+    return [
+        (line, name) for line, name in load_time_imports(source)
+        if any(name == m or name.startswith(m + ".") for m in MC_ONLY)
+    ]
+
+
+def test_load_time_mc_import_is_flagged():
+    source = (
+        "import numpy as np\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "import concurrent.futures.thread\n"
+        "import numbers\n"
+        "class A:\n"
+        "    import numpy.linalg\n"
+        "def f():\n"
+        "    import numpy\n"
+        "    from concurrent.futures import ThreadPoolExecutor\n"
+    )
+    assert mc_only_at_load(source) == [
+        (1, "numpy"), (2, "concurrent.futures"), (3, "concurrent.futures.thread"), (6, "numpy.linalg"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_mc_only_import_at_load(path):
+    assert mc_only_at_load(path.read_text()) == [], path.name

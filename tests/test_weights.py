@@ -86,6 +86,18 @@ def test_estimate_weight_n1():
     assert est.stderr < 0.05
 
 
+def test_estimate_weight_needs_two_blocks_for_an_error_bar():
+    g = parse_graph("1:(L,R)")
+    with pytest.raises(WeightError):
+        estimate_weight(g, samples=1, seed=11)
+    with pytest.raises(WeightError):
+        estimate_weight(g, samples=100, seed=11, blocks=1)
+    est = estimate_weight(g, samples=2, seed=11)
+    assert est.stderr > 0 and est.method == "MedianOfMeans"
+    # the empty graph has the exact weight 1 from any number of draws
+    assert estimate_weight(parse_graph("0:"), samples=1, seed=11).stderr == 0.0
+
+
 def test_estimate_weight_reproducible():
     g = parse_graph("2:(L,R)(L,1)")
     a = estimate_weight(g, samples=5000, seed=3)
