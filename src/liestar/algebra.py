@@ -9,6 +9,7 @@ and outputs at the JSON/text boundary are 1-based.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -225,6 +226,19 @@ def _ad_xi(g: LieAlgebra) -> list:
     ]
 
 
+def _power_traces(g: LieAlgebra):
+    """Tr(ad_xi^r) for r = 2, 3, ..., one matrix product per step."""
+    d = g.dim
+    zero = Polynomial.zero(d)
+    ad = power = _ad_xi(g)
+    while True:
+        power = [
+            [sum((power[a][t] * ad[t][b] for t in range(d)), zero) for b in range(d)]
+            for a in range(d)
+        ]
+        yield sum((power[a][a] for a in range(d)), zero)
+
+
 def trace_operator(g: LieAlgebra, r: int) -> DiffOperator:
     """Constant-coefficient operator D_r whose symbol is Tr(ad_xi^r).
 
@@ -234,20 +248,18 @@ def trace_operator(g: LieAlgebra, r: int) -> DiffOperator:
     the derivative d_a."""
     if r < 2:
         raise ValueError("trace operator requires r >= 2")
-    d = g.dim
-    zero = Polynomial.zero(d)
-    ad = power = _ad_xi(g)
-    for _ in range(r - 1):
-        power = [
-            [sum((power[a][t] * ad[t][b] for t in range(d)), zero) for b in range(d)]
-            for a in range(d)
-        ]
-    return DiffOperator.from_symbol(sum((power[a][a] for a in range(d)), zero))
+    return DiffOperator.from_symbol(next(itertools.islice(_power_traces(g), r - 2, None)))
 
 
-def is_nilpotent_probe(g: LieAlgebra, rmax: int = 6) -> bool:
-    """True iff all trace operators vanish for 2 <= r <= rmax."""
-    return all(trace_operator(g, r).is_zero for r in range(2, rmax + 1))
+def is_nilpotent_probe(g: LieAlgebra, rmax: int | None = None) -> bool:
+    """True iff Tr(ad_xi^r) = 0 for 2 <= r <= rmax (default: the dimension d).
+
+    Exact at the default: ad_xi xi = 0 leaves ad_xi at most d - 1 nonzero
+    eigenvalues, and vanishing power sums p_2..p_d force them all to 0, so
+    ad_xi is nilpotent for every xi (Engel).  Stops at the first nonzero
+    trace."""
+    rmax = g.dim if rmax is None else rmax
+    return all(t.is_zero for _, t in zip(range(2, rmax + 1), _power_traces(g)))
 
 
 _CATALOG_BRACKETS = {

@@ -332,19 +332,6 @@ def gutt_product(p: Polynomial, q: Polynomial, g: LieAlgebra, order: int | None 
     return HSeries(g.dim, order, coeffs)
 
 
-def gutt_power(x: Polynomial, k: int, g: LieAlgebra, order: int | None = None) -> HSeries:
-    """x * x * ... * x (k Gutt factors)."""
-    if order is None:
-        order = max(x.degree() * k, 0)
-    out = HSeries.from_polynomial(Polynomial.one(g.dim), order)
-    for _ in range(k):
-        acc = HSeries.zero(g.dim, order)
-        for r in range(order + 1):
-            acc = acc + gutt_product(out.coeffs[r], x, g, order=order).shift(r)
-        out = acc
-    return out
-
-
 # -- Bernoulli numbers (B1 = -1/2 convention) --------------------------------
 
 

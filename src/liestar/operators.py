@@ -56,53 +56,109 @@ def multi_factorial(multi: Multi, dim: int) -> int:
     return math.prod(math.factorial(c) for c in multi_counts(multi, dim))
 
 
-def monomial_of_multi(multi: Multi, dim: int) -> Polynomial:
-    exps = [0] * dim
-    for i in multi:
-        exps[i] += 1
-    return Polynomial(dim, {tuple(exps): 1})
-
-
 def all_multisets(dim: int, max_size: int):
     """All derivative multi-indices with 0 <= |J| <= max_size, by size."""
     for size in range(max_size + 1):
         yield from itertools.combinations_with_replacement(range(dim), size)
 
 
-class DiffOperator:
-    """Sum_J c_J(x) d_J with unordered multi-indices J and polynomial c_J."""
+class _Operator:
+    """Linear combination of derivative keys with polynomial coefficients.
+
+    Subclasses say what a key is: `_canonical` sorts a key's multi-indices
+    and `_parts` lists them, one per argument slot."""
 
     __slots__ = ("dim", "terms")
 
-    def __init__(self, dim: int, terms: Mapping[Multi, Polynomial] | None = None):
-        clean = {}
-        for multi, coeff in (terms or {}).items():
-            multi = normalize_multi(multi)
-            if any(not 0 <= i < dim for i in multi):
-                raise DimensionMismatch(f"derivative index out of range in {multi}")
+    def __init__(self, dim: int, terms: Mapping | None = None):
+        clean: dict = {}
+        for key, coeff in (terms or {}).items():
+            key = self._canonical(key)
+            if any(not 0 <= i < dim for m in self._parts(key) for i in m):
+                raise DimensionMismatch(f"derivative index out of range in {key}")
             if isinstance(coeff, (int, Fraction, str)):
                 coeff = Polynomial.constant(dim, as_fraction(coeff))
             if coeff.dim != dim:
                 raise DimensionMismatch("coefficient has wrong dimension")
             if not coeff.is_zero:
-                clean[multi] = clean.get(multi, Polynomial.zero(dim)) + coeff
+                clean[key] = clean.get(key, Polynomial.zero(dim)) + coeff
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", {k: v for k, v in clean.items() if not v.is_zero})
 
     def __setattr__(self, name, value):
-        raise AttributeError("DiffOperator is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls, dim: int) -> "DiffOperator":
+    def _trusted(cls, dim: int, terms: dict):
+        """Wrap canonical in-range keys with nonzero coefficients of
+        dimension dim without checking them again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    @classmethod
+    def zero(cls, dim: int):
         return cls(dim)
-
-    @classmethod
-    def identity(cls, dim: int) -> "DiffOperator":
-        return cls(dim, {(): Polynomial.one(dim)})
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __add__(self, other):
+        if self.dim != other.dim:
+            raise DimensionMismatch("operators over different dimensions")
+        terms = dict(self.terms)
+        for k, v in other.terms.items():
+            terms[k] = terms.get(k, Polynomial.zero(self.dim)) + v
+        return type(self)(self.dim, terms)
+
+    def __neg__(self):
+        return type(self)(self.dim, {k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, scalar):
+        k = as_fraction(scalar)
+        return type(self)(self.dim, {m: c * k for m, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.dim == other.dim and self.terms == other.terms
+
+    def __str__(self):
+        if self.is_zero:
+            return "0"
+        bits = []
+        for key in sorted(self.terms, key=lambda k: (sum(map(len, self._parts(k))), k)):
+            ds = "(x)".join("".join(f"d{i + 1}" for i in m) or "id" for m in self._parts(key))
+            bits.append(f"({self.terms[key]})*{ds}")
+        return " + ".join(bits)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class DiffOperator(_Operator):
+    """Sum_J c_J(x) d_J with unordered multi-indices J and polynomial c_J."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _canonical(multi) -> Multi:
+        return normalize_multi(multi)
+
+    @staticmethod
+    def _parts(multi: Multi) -> tuple:
+        return (multi,)
+
+    @classmethod
+    def identity(cls, dim: int) -> "DiffOperator":
+        return cls(dim, {(): Polynomial.one(dim)})
 
     def is_constant_coefficient(self) -> bool:
         return all(c.is_constant() for c in self.terms.values())
@@ -115,26 +171,6 @@ class DiffOperator:
         return _sum_of_products(
             self.dim, [(coeff, f.partial_multi(multi)) for multi, coeff in self.terms.items()]
         )
-
-    def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        if self.dim != other.dim:
-            raise DimensionMismatch("operators over different dimensions")
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, Polynomial.zero(self.dim)) + v
-        return DiffOperator(self.dim, terms)
-
-    def __neg__(self):
-        return DiffOperator(self.dim, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        k = as_fraction(scalar)
-        return DiffOperator(self.dim, {m: c * k for m, c in self.terms.items()})
-
-    __rmul__ = __mul__
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
         """Operator product self o other (apply `other` first)."""
@@ -165,75 +201,31 @@ class DiffOperator:
         """Polynomial symbol of a constant-coefficient operator: d_J -> x^J."""
         if not self.is_constant_coefficient():
             raise ValueError("symbol is defined for constant-coefficient operators only")
-        out = Polynomial.zero(self.dim)
-        for multi, coeff in self.terms.items():
-            out = out + monomial_of_multi(multi, self.dim) * coeff.constant_term()
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOperator):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+        return Polynomial(self.dim, {
+            tuple(multi_counts(multi, self.dim)): coeff.constant_term() for multi, coeff in self.terms.items()
+        })
 
     def __hash__(self):
         return hash((self.dim, frozenset((k, hash(v)) for k, v in self.terms.items())))
 
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        bits = []
-        for multi in sorted(self.terms, key=lambda m: (len(m), m)):
-            ds = "".join(f"d{i + 1}" for i in multi) or "id"
-            bits.append(f"({self.terms[multi]})*{ds}")
-        return " + ".join(bits)
 
-    def __repr__(self):
-        return f"DiffOperator({self})"
-
-
-class BiDiffOperator:
+class BiDiffOperator(_Operator):
     """Sum_{I,J} c_{I,J}(x) d_I f d_J g, keys = pairs of derivative multisets."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ()
 
-    def __init__(self, dim: int, terms: Mapping[tuple, Polynomial] | None = None):
-        clean: dict = {}
-        for (mi, mj), coeff in (terms or {}).items():
-            key = (normalize_multi(mi), normalize_multi(mj))
-            if any(not 0 <= i < dim for m in key for i in m):
-                raise DimensionMismatch(f"derivative index out of range in {key}")
-            if isinstance(coeff, (int, Fraction, str)):
-                coeff = Polynomial.constant(dim, as_fraction(coeff))
-            if coeff.dim != dim:
-                raise DimensionMismatch("coefficient has wrong dimension")
-            if not coeff.is_zero:
-                clean[key] = clean.get(key, Polynomial.zero(dim)) + coeff
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", {k: v for k, v in clean.items() if not v.is_zero})
+    @staticmethod
+    def _canonical(key) -> tuple:
+        mi, mj = key
+        return normalize_multi(mi), normalize_multi(mj)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BiDiffOperator is immutable")
-
-    @classmethod
-    def _trusted(cls, dim: int, terms: dict) -> "BiDiffOperator":
-        """Wrap keys of two sorted in-range multi-indices with nonzero
-        coefficients of dimension dim without checking them again."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", terms)
-        return self
-
-    @classmethod
-    def zero(cls, dim: int) -> "BiDiffOperator":
-        return cls(dim)
+    @staticmethod
+    def _parts(key: tuple) -> tuple:
+        return key
 
     @classmethod
     def multiplication(cls, dim: int) -> "BiDiffOperator":
         return cls(dim, {((), ()): Polynomial.one(dim)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def apply(self, f: Polynomial, g: Polynomial) -> Polynomial:
         if f.dim != self.dim or g.dim != self.dim:
@@ -254,26 +246,6 @@ class BiDiffOperator:
                 products.append((coeff, df, dg))
         return _sum_of_products(self.dim, products)
 
-    def __add__(self, other: "BiDiffOperator") -> "BiDiffOperator":
-        if self.dim != other.dim:
-            raise DimensionMismatch("operators over different dimensions")
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, Polynomial.zero(self.dim)) + v
-        return BiDiffOperator(self.dim, terms)
-
-    def __neg__(self):
-        return BiDiffOperator(self.dim, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        k = as_fraction(scalar)
-        return BiDiffOperator(self.dim, {m: c * k for m, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
     def compose_second(self, op: DiffOperator) -> "BiDiffOperator":
         """(f, g) -> self(f, op(g)) as a bidifferential operator."""
         if self.dim != op.dim:
@@ -290,24 +262,6 @@ class BiDiffOperator:
     def first_slot_linear_part(self) -> "BiDiffOperator":
         """Keys with exactly one derivative on the first argument."""
         return BiDiffOperator(self.dim, {k: v for k, v in self.terms.items() if len(k[0]) == 1})
-
-    def __eq__(self, other):
-        if not isinstance(other, BiDiffOperator):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        bits = []
-        for mi, mj in sorted(self.terms, key=lambda k: (len(k[0]) + len(k[1]), k)):
-            di = "".join(f"d{i + 1}" for i in mi) or "id"
-            dj = "".join(f"d{i + 1}" for i in mj) or "id"
-            bits.append(f"({self.terms[(mi, mj)]})*{di}(x){dj}")
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return f"BiDiffOperator({self})"
 
 
 def hochschild_coboundary(eta: DiffOperator) -> BiDiffOperator:
@@ -329,10 +283,6 @@ def hochschild_coboundary(eta: DiffOperator) -> BiDiffOperator:
     return BiDiffOperator(dim, terms)
 
 
-class ExtractionError(ValueError):
-    """The sampled map is not a differential operator within the order bound."""
-
-
 def _divided_monomials(dim: int, max_order: int) -> dict:
     """Each multi-index M with |M| <= max_order, by size, mapped to the
     exponent tuple of x^M and 1 / M!."""
@@ -349,49 +299,22 @@ def _subtract_shifted(value: dict, known: Polynomial, shift: tuple, scale: Fract
         value[e] = value.get(e, 0) - c * scale
 
 
-def extract_diff_operator(
-    func: Callable[[Polynomial], Polynomial],
-    dim: int,
-    max_order: int,
-    verify_degree: int = 2,
-) -> DiffOperator:
-    """Recover the operator behind a linear map on polynomials.
-
-    Applies `func` to divided monomials x^J / J! in order of increasing |J|
-    and solves the triangular system for the coefficients: d_A x^J / J! is
-    x^(J-A) / (J-A)!.  Raises ExtractionError if the reconstruction fails on
-    probe monomials beyond `max_order` (operator order larger than the
-    bound, or map not a differential operator at all).
-    """
-    divided = _divided_monomials(dim, max_order)
-    coeffs: dict = {}
-    for multi, (exps, inv) in divided.items():
-        value = dict(func(Polynomial._trusted(dim, {exps: inv})).terms)
-        for part, rest in sub_multisets(multi, dim):
-            known = coeffs.get(part)  # None for part == multi, not solved yet
-            if known is not None:
-                _subtract_shifted(value, known, *divided[rest])
-        value = {e: c for e, c in value.items() if c}
-        if value:
-            coeffs[multi] = Polynomial._trusted(dim, value)
-    op = DiffOperator(dim, coeffs)
-    for probe in all_multisets(dim, max_order + verify_degree):
-        if len(probe) <= max_order:
-            continue
-        mono = monomial_of_multi(probe, dim)
-        if op.apply(mono) != func(mono):
-            raise ExtractionError(
-                f"map is not a differential operator of order <= {max_order}"
-            )
-    return op
-
-
 def extract_bidiff_operator(
     func: Callable[[Polynomial, Polynomial], Polynomial],
     dim: int,
     max_order: int,
 ) -> BiDiffOperator:
-    """Bidifferential analogue of extract_diff_operator (same order bound per slot)."""
+    """Recover the operator of order <= max_order in each slot behind a
+    bilinear map on polynomials.
+
+    Applies `func` to the pairs of divided monomials (x^I / I!, x^J / J!)
+    with |I|, |J| <= max_order and solves the triangular system for the
+    coefficients.  Since d_A x^I / I! is x^(I-A) / (I-A)!, the pair (I, J)
+    gives the sum over sub-multisets A of I and B of J of
+    c_{A,B} x^(I-A) x^(J-B) / ((I-A)! (J-B)!).  Every (A, B) other than
+    (I, J) is probed earlier, so its known term is subtracted, leaving
+    c_{I,J}.
+    """
     divided = _divided_monomials(dim, max_order)
     probes = {m: Polynomial._trusted(dim, {exps: inv}) for m, (exps, inv) in divided.items()}
     splits = {m: list(sub_multisets(m, dim)) for m in divided}

@@ -399,9 +399,6 @@ class HSeries:
     def is_zero(self) -> bool:
         return all(p.is_zero for p in self.coeffs)
 
-    def truncate(self, order: int) -> "HSeries":
-        return HSeries(self.dim, order, self.coeffs[: order + 1])
-
     def shift(self, k: int) -> "HSeries":
         """Multiply by h^k (same truncation order)."""
         if k < 0:

@@ -8,7 +8,6 @@ closed-form equivalence exponential from wheel weights and trace operators.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -102,11 +101,6 @@ class GuttStarProduct(StarProduct):
         self.dim = algebra.dim
         self.order = order
         self._cochains: dict = {}
-
-    def multiply(self, f: Polynomial, g: Polynomial) -> HSeries:
-        if f.dim != self.dim or g.dim != self.dim:
-            raise StarProductError("dimension mismatch")
-        return gutt_product(f, g, self.algebra, order=self.order)
 
     def _multiply_to(self, f: Polynomial, g: Polynomial, k: int) -> list:
         return list(gutt_product(f, g, self.algebra, order=k).coeffs)
@@ -371,7 +365,19 @@ def kontsevich_gutt_rho(
     )
 
 
+def _small_exponents(dim: int, degree: int):
+    """Exponent tuples of total degree <= degree, in lexicographic order."""
+    if dim == 0:
+        if degree >= 0:
+            yield ()
+        return
+    for e in range(degree + 1):
+        for rest in _small_exponents(dim - 1, degree - e):
+            yield (e,) + rest
+
+
 def random_polynomial(dim: int, degree: int, rng: random.Random) -> Polynomial:
+    """One draw from the pool per monomial of total degree <= degree."""
     pool = [
         Fraction(0),
         Fraction(1),
@@ -381,14 +387,12 @@ def random_polynomial(dim: int, degree: int, rng: random.Random) -> Polynomial:
         Fraction(2),
         Fraction(1, 3),
     ]
-    out = Polynomial.zero(dim)
-    for exps in itertools.product(range(degree + 1), repeat=dim):
-        if sum(exps) > degree:
-            continue
+    terms = {}
+    for exps in _small_exponents(dim, degree):
         c = rng.choice(pool)
         if c:
-            out = out + Polynomial(dim, {exps: c})
-    return out
+            terms[exps] = c
+    return Polynomial(dim, terms)
 
 
 def verify_equivalence(

@@ -54,23 +54,14 @@ def phi_gradient(z1, z2):
     z1, z2 = _as_complex(z1), _as_complex(z2)
     if abs(z2 - z1) < COLLISION_GUARD:
         raise WeightError("coincident points")
-    u = z2.real - z1.real
-    va = z2.imag - z1.imag
-    vb = -(z2.imag + z1.imag)
-    ra = u * u + va * va
-    rb = u * u + vb * vb
-    if ra == 0.0 or rb == 0.0:
-        raise WeightError("degenerate pair")
-    return (
-        va / ra + vb / rb,
-        -u / ra - u / rb,
-        -va / ra - vb / rb,
-        u / ra - u / rb,
-    )
+    try:
+        return _gradient_arrays(z1.real, z1.imag, z2.real, z2.imag)
+    except ZeroDivisionError:  # z2 is the mirror image of z1
+        raise WeightError("degenerate pair") from None
 
 
 def _gradient_arrays(x1, y1, x2, y2):
-    """Vectorized phi_gradient on numpy arrays."""
+    """The partials of phi on floats, or elementwise on numpy arrays."""
     u = x2 - x1
     va = y2 - y1
     vb = -(y2 + y1)
@@ -364,15 +355,12 @@ def seed_table() -> WeightTable:
 
 
 def known_weight(g: Graph, table: WeightTable) -> Fraction | None:
-    """Exact weight of a graph from the table, adjusted by the edge-swap
-    parity to its canonical representative; None when unknown."""
-    if g.is_bad():
-        return Fraction(0)
-    cls = canonicalize(g)
-    entry = table.get(cls.key)
-    if entry is None or entry.exact is None:
+    """The exact part of table_weight: the weight as a Fraction, or None
+    when the table has no exact weight for the graph."""
+    looked = table_weight(g, table)
+    if looked is None or looked[2] == PROVENANCE_ESTIMATED:
         return None
-    return cls.sign * entry.exact
+    return looked[0]
 
 
 def table_weight(g: Graph, table: WeightTable):

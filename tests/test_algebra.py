@@ -150,6 +150,32 @@ def test_nilpotent_probe():
 SOLVABLE4 = (4, [(1, 2, 2, 1), (1, 3, 2, 1), (1, 3, 3, "1/2"), (1, 4, 4, -2)])
 # [e1, e_i] = e_{i+1} for i = 2..4: nilpotent of class 4
 FILIFORM5 = (5, [(1, 2, 3, 1), (1, 3, 4, 1), (1, 4, 5, 1)])
+# e1 permutes e2..e8 cyclically, so Tr(ad_xi^r) = 0 unless 7 divides r:
+# solvable, not nilpotent, with the first nonzero trace at r = 7
+CYCLIC8 = (8, [(1, k, k + 1, 1) for k in range(2, 8)] + [(1, 8, 2, 1)])
+# e1 acts on e2..e7 by the companion matrix of x^6 - x^5 + x^4/2 - x^3/6 +
+# x^2/24 - x/120 + 1/720, whose roots have elementary symmetric functions
+# 1/k!: power sums p_1 = 1, p_2..p_6 = 0 and p_7 != 0
+COMPANION7 = (7, [(1, k, k + 1, 1) for k in range(2, 7)] + [
+    (1, 7, 2, "-1/720"), (1, 7, 3, "1/120"), (1, 7, 4, "-1/24"),
+    (1, 7, 5, "1/6"), (1, 7, 6, "-1/2"), (1, 7, 7, 1),
+])
+
+
+def _strictly_upper_triangular(n):
+    """Strictly upper-triangular n x n matrices, basis E_ij (i < j) in
+    lexicographic order: [E_ij, E_jl] = E_il, nilpotent of dimension
+    n(n-1)/2."""
+    basis = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {e: k + 1 for k, e in enumerate(basis)}
+    brackets = []
+    for (i, j), a in index.items():
+        for (k, l), b in index.items():
+            if a < b and j == k:
+                brackets.append((a, b, index[(i, l)], 1))
+            elif a < b and l == i:
+                brackets.append((a, b, index[(k, j)], -1))
+    return algebra_from_brackets(len(basis), brackets)
 
 
 def _word_sum_trace_operator(g, r):
@@ -215,6 +241,22 @@ def test_nilpotent_probe_matches_lower_central_series(name):
     assert is_nilpotent_probe(g) == _lower_central_series_nilpotent(g)
     if name == "filiform5":
         assert is_nilpotent_probe(g)
+
+
+@pytest.mark.parametrize("brackets", [CYCLIC8, COMPANION7], ids=["cyclic8", "companion7"])
+def test_nilpotent_probe_catches_traces_that_vanish_below_the_dimension(brackets):
+    # Tr(ad_xi^r) = 0 for 2 <= r <= 6, so a probe stopping at r = 6 is fooled
+    g = algebra_from_brackets(*brackets)
+    assert not _lower_central_series_nilpotent(g)
+    assert is_nilpotent_probe(g, rmax=6)
+    assert not is_nilpotent_probe(g)
+
+
+def test_nilpotent_probe_on_ten_dimensional_nilpotent_algebra():
+    g = _strictly_upper_triangular(5)
+    assert g.dim == 10
+    assert _lower_central_series_nilpotent(g)
+    assert is_nilpotent_probe(g)
 
 
 def test_readme_algebra_json_is_heis3():

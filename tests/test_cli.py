@@ -266,6 +266,26 @@ def test_rho_report(capsys):
     assert any("-1/12" in str(v) for v in results["terms"].values())
 
 
+def test_rho_report_operator_text_on_sl2(capsys):
+    # the operators' text form is part of the report
+    code, report, _ = run_json(capsys, "rho", "--algebra", "sl2", "--order", "2")
+    assert code == 0
+    results = report["results"]
+    assert results["exponent"] == [
+        {"order": 2, "coefficient": "-1/12", "operator": "(8)*d1d1 + (8)*d2d3"}
+    ]
+    assert results["terms"] == {"h^0": "(1)*id", "h^1": "0", "h^2": "(-2/3)*d1d1 + (-2/3)*d2d3"}
+
+
+def test_validate_file_on_a_solvable_algebra_with_vanishing_low_traces(capsys, tmp_path):
+    # e1 permutes e2..e8 cyclically: Tr(ad_xi^r) = 0 for r = 2..6 only
+    brackets = [[1, k, k + 1, "1"] for k in range(2, 8)] + [[1, 8, 2, "1"]]
+    path = tmp_path / "cyclic8.json"
+    path.write_text(json.dumps({"dim": 8, "brackets": brackets}))
+    code, report, _ = run_json(capsys, "validate", "--file", str(path))
+    assert code == 0 and report["results"]["nilpotent_probe"] is False
+
+
 def test_rho_identity_nilpotent(capsys):
     code, report, _ = run_json(capsys, "rho", "--algebra", "filiform4")
     assert code == 0

@@ -12,7 +12,6 @@ from liestar.enveloping import (
     bernoulli,
     ch_series,
     gutt_linear_cochain,
-    gutt_power,
     gutt_product,
     pbw_normalize,
     symmetrize,
@@ -20,6 +19,7 @@ from liestar.enveloping import (
     unsymmetrize,
 )
 from liestar.poly import DimensionMismatch, HSeries, Polynomial, parse_poly
+from liestar.star import GuttStarProduct, star_power
 
 
 # so3 with non-integral brackets: the least common denominator of the
@@ -318,11 +318,10 @@ def test_gutt_unit():
 
 
 def test_gutt_weyl_property():
-    sl2 = catalog("sl2")
+    s = GuttStarProduct(catalog("sl2"), 6)
     x = lin([1, -2, 3], 3)
     for k in range(7):
-        p = gutt_power(x, k, sl2, order=6)
-        assert p == HSeries.from_polynomial(x**k, 6)
+        assert star_power(s, x, k) == HSeries.from_polynomial(x**k, 6)
 
 
 def test_gutt_associativity_random():

@@ -106,3 +106,62 @@ def test_load_time_mc_import_is_flagged():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_mc_only_import_at_load(path):
     assert mc_only_at_load(path.read_text()) == [], path.name
+
+
+# module-level names that only the tests call, kept as independent references
+TEST_REFERENCES = {
+    "pbw_normalize",  # test_enveloping: sigma(x^a) by its definition, confluence
+    "uea_mul",  # test_enveloping: products in the enveloping algebra
+    "hochschild_coboundary",  # test_acceptance: a paper criterion
+    "ch_series",  # test_enveloping; the base of the planned BCH-symbol cochains
+}
+
+
+def _referenced_names(node) -> set:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def unreferenced_definitions(sources: dict) -> list:
+    """(module, name) for each module-level function or class that no code
+    outside its own body refers to, in any of the modules (an import by name
+    counts, so the exports of __init__ do)."""
+    statements = [
+        (module, node, _referenced_names(node))
+        for module, source in sources.items()
+        for node in ast.parse(source).body
+    ]
+    return sorted(
+        (module, node.name)
+        for module, node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(node.name in names for _, other, names in statements if other is not node)
+    )
+
+
+def test_unreferenced_definition_is_flagged():
+    sources = {
+        "__init__": "from .a import exported\n",
+        "a": (
+            "def exported(): pass\n"
+            "def dead(): return dead()\n"
+            "class Used: pass\n"
+            "def helper(): pass\n"
+            "def caller(): return helper()\n"
+        ),
+        "b": "from .a import caller\nx = a.Used\n",
+    }
+    assert unreferenced_definitions(sources) == [("a", "dead")]
+
+
+def test_every_definition_is_referenced():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    found = [(module, name) for module, name in unreferenced_definitions(sources) if name not in TEST_REFERENCES]
+    assert found == []

@@ -390,3 +390,34 @@ def test_wheel_free_product_normalizes_to_identity():
     g = catalog("so3")
     s = assemble_kontsevich(poisson_tensor(g), 2, seed_table(), include_wheels=False)
     assert weyl_normalize(s).is_identity
+
+
+def _product_filter_polynomial(dim, degree, rng):
+    """random_polynomial as a walk over all (degree + 1)^dim exponent
+    tuples that keeps those of total degree <= degree."""
+    pool = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(2), Fraction(1, 3)]
+    terms = {}
+    for exps in product(range(degree + 1), repeat=dim):
+        if sum(exps) <= degree:
+            c = rng.choice(pool)
+            if c:
+                terms[exps] = c
+    return Polynomial(dim, terms)
+
+
+@pytest.mark.parametrize("dim", range(6))
+def test_random_polynomial_matches_the_product_filter(dim):
+    for degree in range(5):
+        rng, ref_rng = random.Random(100 * dim + degree), random.Random(100 * dim + degree)
+        assert random_polynomial(dim, degree, rng) == _product_filter_polynomial(dim, degree, ref_rng)
+        assert rng.random() == ref_rng.random()
+
+
+def test_random_polynomial_in_fourteen_variables():
+    # the product filter would walk 5^14 = 6.1e9 tuples for these 3060
+    rng, ref_rng = random.Random(14), random.Random(14)
+    p = random_polynomial(14, 4, rng)
+    assert p.terms and all(sum(e) <= 4 for e in p.terms)
+    for _ in range(math.comb(18, 4)):
+        ref_rng.choice(range(7))  # one draw from the 7-element pool per monomial
+    assert rng.random() == ref_rng.random()

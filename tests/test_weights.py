@@ -50,6 +50,12 @@ def test_phi_gradient_matches_finite_differences():
         assert a == pytest.approx(b, abs=1e-6)
 
 
+def test_phi_gradient_rejects_a_mirror_pair():
+    # z2 = conj(z1): the second angle term has a zero denominator
+    with pytest.raises(WeightError, match="degenerate pair"):
+        phi_gradient(0.5 + 0.3j, 0.5 - 0.3j)
+
+
 def test_phi_gradient_boundary_target():
     # finite differences along the real axis still match at a boundary target
     z1 = complex(0.2, 0.8)
@@ -211,3 +217,6 @@ def test_estimate_provenance():
     value, err, prov = table_weight(parse_graph("2:(L,R)(L,1)"), table)
     assert prov == PROVENANCE_ESTIMATED
     assert err == 0.001
+    # known_weight reports exact weights only
+    assert known_weight(parse_graph("2:(L,R)(L,1)"), table) is None
+    assert known_weight(parse_graph("1:(L,R)"), table) is None
