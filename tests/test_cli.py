@@ -202,6 +202,32 @@ def test_compare_exit_zero_and_report(capsys):
     assert report["results"]["rho_matches_normalization"] is True
 
 
+@pytest.fixture(scope="module")
+def order3_weights(tmp_path_factory):
+    path = tmp_path_factory.mktemp("weights") / "t.json"
+    assert main(["weights", "--n", "3", "--samples", "20000", "--seed", "7", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("algebra, code", [("aff1", 1), ("so3", 1), ("heis3", 0)])
+def test_compare_with_mc_weights_at_order_three(capsys, order3_weights, algebra, code):
+    """MC noise is a failed check (exit 1), never bad input (exit 2): on
+    aff1 it also makes the Weyl normalization fail."""
+    got, report, err = run_json(
+        capsys, "compare", "--algebra", algebra, "--order", "3",
+        "--weights", str(order3_weights), "--trials", "1", "--degree", "3",
+    )
+    assert (got, err) == (code, "")
+    results = report["results"]
+    assert results["provenance"] == "estimated"
+    assert results["defect_free"] is (code == 0)
+    if algebra == "aff1":
+        assert results["rho_matches_normalization"] is False
+        assert "fails on power 3" in results["normalization_error"]
+    else:
+        assert "normalization_error" not in results
+
+
 def test_compare_nilpotent_rho_identity(capsys):
     code, report, _ = run_json(
         capsys, "compare", "--algebra", "heis3", "--trials", "2"
